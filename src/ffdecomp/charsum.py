@@ -248,7 +248,8 @@ def double_char_sum(chi: Character, a: FpSet, b: FpSet) -> RootOfUnityTally:
     sums = np.bincount(classes, weights=folded[1:].astype(np.float64), minlength=chi.d)
     for r in range(chi.d):
         tally.counts[r] = int(round(sums[r]))
-    assert tally.total() == len(a) * len(b)
+    if tally.total() != len(a) * len(b):
+        raise AssertionError(f"tally total {tally.total()} is not #A * #B = {len(a) * len(b)}")
     return tally
 
 
@@ -317,7 +318,6 @@ def interval_exp_sum(p: int, m: int, n: int, lam: int) -> float:
     magnitude = num / den
     signed = lam_red if lam_red <= (p - 1) // 2 else lam_red - p
     if abs(signed) <= (p - 1) // 2:
-        assert magnitude <= p / abs(signed) + 1e-9, (
-            f"linear exponential sum bound violated: p={p}, lam={signed}"
-        )
+        if magnitude > p / abs(signed) + 1e-9:
+            raise AssertionError(f"linear exponential sum bound violated: p={p}, lam={signed}")
     return magnitude

@@ -8,6 +8,13 @@ exceeded without resolution.
 Records under --stable zero the volatile fields (timestamp, elapsed, node
 counts) so reruns and different worker counts are byte-comparable after
 the canonical ordering the commands already emit.
+
+Each experiment is wired once, in EXPERIMENTS, keyed by subcommand name:
+the flags it requires, how its flags become one instance dict, how a sweep
+config and seed become a list of instance dicts, and run(instance) ->
+payload, which both paths share.  A single-op command emits
+run(from_args(args)); sweep maps run over its grid, sending
+(name, instance) pairs to the worker pool.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 from . import experiments, fpcore
 from .charsum import Character, karatsuba_ratio, vinogradov_check, weil_report
@@ -171,32 +179,12 @@ def _summarize(records, code: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# experiments: instances from flags or from a sweep config, and one runner
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
             raise ValueError(f"--{name.replace('_', '-')} is required for this command")
-
-
-def _cmd_search(args):
-    _require(args, "prime", "set")
-    target, meta = parse_target(args.set[0], args.prime)
-    mode = "self_decomposition" if args.mode == "self" else "decomposition"
-    subgroup_d = meta.get("d") if meta.get("family") in ("qr", "subgroup") else None
-    query = DecompQuery(
-        S=target,
-        mode=mode,
-        min_size=args.min_size,
-        node_budget=args.node_budget,
-        time_budget=args.time_budget,
-        subgroup_d=subgroup_d,
-    )
-    report = run_query(query, workers=args.workers)
-    payload = report.to_dict()
-    payload["instance"] = json_ready({"p": target.p, "set": args.set[0], **meta})
-    _attach_family_bounds(payload, meta, target.p, report)
-    return [make_record("search", args.seed, payload, args.stable)]
 
 
 def _attach_family_bounds(payload, meta, p, report):
@@ -217,33 +205,6 @@ def _attach_family_bounds(payload, meta, p, report):
     return payload
 
 
-def _cmd_packing(args):
-    _require(args, "prime")
-    if args.set:
-        target, meta = parse_target(args.set[0], args.prime)
-        query = DecompQuery(
-            S=target,
-            mode="packing",
-            min_size=1,
-            node_budget=args.node_budget,
-            time_budget=args.time_budget,
-            subgroup_d=meta.get("d") if meta.get("family") in ("qr", "subgroup") else None,
-        )
-        report = run_query(query, workers=args.workers)
-        payload = report.to_dict()
-        payload["instance"] = json_ready({"p": target.p, "set": args.set[0], **meta})
-        return [make_record("packing", args.seed, payload, args.stable)]
-    _require(args, "d")
-    rep = packing_bound_harness(
-        args.prime,
-        args.d,
-        node_budget=args.node_budget,
-        time_budget=args.time_budget,
-        workers=args.workers,
-    )
-    return [make_record("packing", args.seed, rep.to_dict(), args.stable)]
-
-
 def _parse_poly(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",")]
@@ -251,97 +212,275 @@ def _parse_poly(text: str) -> list[int]:
         raise ValueError(f"bad polynomial literal {text!r}: expected c0,c1,...") from None
 
 
-def _cmd_weil(args):
-    _require(args, "prime", "d", "poly")
-    fld = fpcore.make_field(args.prime)
-    chi = Character(fld, args.d, args.j if args.j is not None else 1)
-    rep = weil_report(chi, _parse_poly(args.poly))
-    return [make_record("weil", args.seed, rep.to_dict(), args.stable)]
-
-
-def _two_sets(args):
+def _two_sets(args) -> dict:
     if not args.set or len(args.set) != 2:
         raise ValueError("give --set twice: A then B")
     a, _ = parse_target(args.set[0], args.prime)
     b, _ = parse_target(args.set[1], args.prime)
-    return a, b
+    return {"A": a, "B": b}
 
 
-def _cmd_vinogradov(args):
-    _require(args, "prime", "d")
-    fld = fpcore.make_field(args.prime)
-    chi = Character(fld, args.d, args.j if args.j is not None else 1)
-    a, b = _two_sets(args)
-    rep = vinogradov_check(chi, a, b)
-    return [make_record("vinogradov", args.seed, rep.to_dict(), args.stable)]
+def _limits(source: dict, workers: int) -> dict:
+    """Search limits from vars(args) or from a sweep config, which takes the
+    flags' names and defaults.  Sweep tasks search serially."""
+    return {
+        "node_budget": source.get("node_budget", 10**8),
+        "time_budget": source.get("time_budget", 300.0),
+        "workers": workers,
+    }
 
 
-def _cmd_karatsuba(args):
-    _require(args, "prime", "d")
-    fld = fpcore.make_field(args.prime)
-    chi = Character(fld, args.d, args.j if args.j is not None else 1)
-    if args.set:
-        a, b = _two_sets(args)
-        rep = karatsuba_ratio(chi, a, b, args.nu or 1)
+def _search_target(inst: dict, mode: str, min_size: int):
+    """Search the family or literal inst["set"]; the payload echoes the target."""
+    target, meta = parse_target(inst["set"], inst["p"])
+    query = DecompQuery(
+        S=target,
+        mode=mode,
+        min_size=min_size,
+        node_budget=inst["node_budget"],
+        time_budget=inst["time_budget"],
+        subgroup_d=meta.get("d") if meta.get("family") in ("qr", "subgroup") else None,
+    )
+    report = run_query(query, workers=inst["workers"])
+    payload = report.to_dict()
+    payload["instance"] = json_ready({"p": inst["p"], "set": inst["set"], **meta})
+    return payload, meta, report
+
+
+def _search_from_args(args) -> dict:
+    return {
+        "p": args.prime,
+        "set": args.set[0],
+        "mode": args.mode,
+        "min_size": args.min_size,
+        "single_op": True,
+        **_limits(vars(args), args.workers),
+    }
+
+
+def _search_sweep(cfg: dict, seed: int) -> list[dict]:
+    primes = _config_primes(cfg)
+    family = cfg.get("set", "qr")
+    if family not in ("qr", "subgroup"):
+        raise ConfigError(f"search sweep does not support set family {family!r}")
+    common = {
+        "mode": cfg.get("mode", "decomposition"),
+        "min_size": cfg.get("min_size", 2),
+        "single_op": False,
+        **_limits(cfg, 1),
+    }
+    if family == "qr":
+        return [{"p": p, "set": "qr", **common} for p in primes]
+    return [
+        {"p": pd["p"], "set": f"subgroup:{pd['d']}", **common}
+        for pd in _subgroup_grid(cfg, "proper")
+    ]
+
+
+def _run_search(inst: dict) -> dict:
+    """A single-op record echoes the family and carries its part-size bounds;
+    a sweep record echoes the config's mode string instead."""
+    mode = "self_decomposition" if inst["mode"] == "self" else "decomposition"
+    payload, meta, report = _search_target(inst, mode, inst["min_size"])
+    if inst["single_op"]:
+        _attach_family_bounds(payload, meta, inst["p"], report)
     else:
-        rep = subgroup_ratio_report(args.prime, args.d)
-    return [make_record("karatsuba", args.seed, rep.to_dict(), args.stable)]
+        echo = {"p": inst["p"], "set": inst["set"], "mode": inst["mode"]}
+        payload["instance"] = json_ready(echo)
+    return payload
 
 
-def _cmd_wsum(args):
-    _require(args, "prime", "d", "set")
-    b, _ = parse_target(args.set[0], args.prime)
-    rep = w_identity_report(args.prime, args.d, b)
-    return [make_record("wsum", args.seed, rep.to_dict(), args.stable)]
+def _packing_from_args(args) -> dict:
+    inst = {"p": args.prime, **_limits(vars(args), args.workers)}
+    if args.set:
+        inst["set"] = args.set[0]
+    else:
+        _require(args, "d")
+        inst["d"] = args.d
+    return inst
 
 
-def _cmd_nsum(args):
-    _require(args, "prime", "d", "set")
-    b, _ = parse_target(args.set[0], args.prime)
-    rep = n_count_report(args.prime, args.d, b)
-    return [make_record("nsum", args.seed, rep.to_dict(), args.stable)]
+def _run_packing(inst: dict) -> dict:
+    """With a set: the raw packing search.  Otherwise the G_d harness."""
+    if "set" in inst:
+        return _search_target(inst, "packing", 1)[0]
+    return packing_bound_harness(
+        inst["p"],
+        inst["d"],
+        node_budget=inst["node_budget"],
+        time_budget=inst["time_budget"],
+        workers=inst["workers"],
+    ).to_dict()
 
 
-def _cmd_shkvyu(args):
-    _require(args, "prime", "d", "shifts")
+def _character(inst: dict) -> Character:
+    return Character(fpcore.make_field(inst["p"]), inst["d"], inst["j"])
+
+
+def _character_args(args) -> dict:
+    """--prime, --d and --j, checked as a character before any other flag."""
+    inst = {"p": args.prime, "d": args.d, "j": args.j if args.j is not None else 1}
+    _character(inst)
+    return inst
+
+
+def _karatsuba_from_args(args) -> dict:
+    inst = _character_args(args)
+    if args.set:
+        inst.update(_two_sets(args), nu=args.nu or 1)
+    return inst
+
+
+def _run_karatsuba(inst: dict) -> dict:
+    """With A and B: their envelope ratio.  Otherwise A = B = G_d."""
+    if "A" in inst:
+        return karatsuba_ratio(_character(inst), inst["A"], inst["B"], inst["nu"]).to_dict()
+    return subgroup_ratio_report(inst["p"], inst["d"]).to_dict()
+
+
+def _b_set_from_args(args) -> dict:
+    return {"p": args.prime, "d": args.d, "B": parse_target(args.set[0], args.prime)[0]}
+
+
+def _shkvyu_from_args(args) -> dict:
     shifts = [int(tok) for tok in args.shifts.split(",")]
     if args.m is not None and args.m != len(shifts):
         raise ValueError(f"--m {args.m} disagrees with {len(shifts)} shifts")
-    rep = shkvyu_report(args.prime, args.d, shifts)
-    return [make_record("shkvyu", args.seed, rep.to_dict(), args.stable)]
+    return {"p": args.prime, "d": args.d, "shifts": shifts}
 
 
-def _cmd_growth(args):
-    _require(args, "prime", "d")
-    rep = growth_exponent_report(args.prime, args.d)
-    return [make_record("growth", args.seed, rep.to_dict(), args.stable)]
-
-
-def _cmd_interval(args):
-    _require(args, "prime")
+def _interval_from_args(args) -> dict:
     if not args.set or len(args.set) != 3:
         raise ValueError("give --set three times: interval:m,n then A then B")
-    first, meta = parse_target(args.set[0], args.prime)
+    _, meta = parse_target(args.set[0], args.prime)
     if meta.get("family") != "interval":
         raise ValueError("first --set must be an interval:m,n family")
     a, _ = parse_target(args.set[1], args.prime)
     b, _ = parse_target(args.set[2], args.prime)
-    rep = interval_mult_report(args.prime, meta["m"], meta["n"], a, b)
-    return [make_record("interval", args.seed, rep.to_dict(), args.stable)]
+    return {"p": args.prime, "m": meta["m"], "n": meta["n"], "A": a, "B": b}
 
 
-def _cmd_bourgain(args):
-    _require(args, "prime")
-    a, b = _two_sets(args)
-    rep = bourgain_report(args.prime, a, b)
-    return [make_record("bourgain", args.seed, rep.to_dict(), args.stable)]
+def _subgroup_grid(cfg: dict, d_filter: str, **extra) -> list[dict]:
+    """Every (p, d) of the config; d_filter is the experiment's default."""
+    return [
+        {"p": p, "d": d, **extra}
+        for p in _config_primes(cfg)
+        for d in _d_options(p, cfg.get("d_filter", d_filter))
+    ]
+
+
+def _p_max(cfg: dict) -> int:
+    """Largest usable prime of p_range; seeded generators draw from 5..p_max."""
+    return _config_primes(cfg)[-1]
+
+
+def _seeded(cfg: dict, seed: int) -> dict:
+    """The count, seed and p_max arguments of a seeded instance generator."""
+    return {"count": cfg.get("samples", 100), "seed": seed, "p_max": _p_max(cfg)}
+
+
+class Experiment(NamedTuple):
+    requires: tuple[str, ...]  # flags a single-op command must be given
+    from_args: Callable[[argparse.Namespace], dict]  # single-op flags -> instance
+    sweep: Callable[[dict, int], Iterable[dict]]  # (config, seed) -> instances
+    run: Callable[[dict], dict]  # instance -> payload, for both paths
+
+
+# Subcommand order is the order of the usage text.  Report functions are
+# called through lambdas so that they are looked up by module-level name on
+# every call.
+EXPERIMENTS = {
+    "search": Experiment(("prime", "set"), _search_from_args, _search_sweep, _run_search),
+    "packing": Experiment(
+        ("prime",),
+        _packing_from_args,
+        lambda cfg, seed: _subgroup_grid(cfg, "all", **_limits(cfg, 1)),
+        _run_packing,
+    ),
+    "weil": Experiment(
+        ("prime", "d", "poly"),
+        lambda args: {**_character_args(args), "poly": _parse_poly(args.poly)},
+        lambda cfg, seed: experiments.weil_instances(
+            **_seeded(cfg, seed), deg_max=cfg.get("deg_max", 6)
+        ),
+        lambda inst: weil_report(_character(inst), inst["poly"]).to_dict(),
+    ),
+    "vinogradov": Experiment(
+        ("prime", "d"),
+        lambda args: {**_character_args(args), **_two_sets(args)},
+        lambda cfg, seed: experiments.vinogradov_instances(**_seeded(cfg, seed)),
+        lambda inst: vinogradov_check(_character(inst), inst["A"], inst["B"]).to_dict(),
+    ),
+    "karatsuba": Experiment(
+        ("prime", "d"),
+        _karatsuba_from_args,
+        lambda cfg, seed: _subgroup_grid(cfg, "all"),
+        _run_karatsuba,
+    ),
+    "wsum": Experiment(
+        ("prime", "d", "set"),
+        _b_set_from_args,
+        lambda cfg, seed: experiments.wsum_instances(
+            **_seeded(cfg, seed), b_max=cfg.get("b_max", 6)
+        ),
+        lambda inst: w_identity_report(inst["p"], inst["d"], inst["B"]).to_dict(),
+    ),
+    "nsum": Experiment(
+        ("prime", "d", "set"),
+        _b_set_from_args,
+        lambda cfg, seed: experiments.nsum_instances(
+            **_seeded(cfg, seed), b_max=cfg.get("b_max", 6)
+        ),
+        lambda inst: n_count_report(inst["p"], inst["d"], inst["B"]).to_dict(),
+    ),
+    "shkvyu": Experiment(
+        ("prime", "d", "shifts"),
+        _shkvyu_from_args,
+        lambda cfg, seed: experiments.shkvyu_instances(
+            seed,
+            p_max=_p_max(cfg),
+            order_cap=cfg.get("g_max", 30),
+            ms=tuple(cfg.get("m", [2, 3])),
+            samples=cfg.get("samples", 100),
+        ),
+        lambda inst: shkvyu_report(inst["p"], inst["d"], inst["shifts"]).to_dict(),
+    ),
+    "growth": Experiment(
+        ("prime", "d"),
+        lambda args: {"p": args.prime, "d": args.d},
+        lambda cfg, seed: _subgroup_grid(cfg, "order>=2"),
+        lambda inst: growth_exponent_report(inst["p"], inst["d"]).to_dict(),
+    ),
+    "interval": Experiment(
+        ("prime",),
+        _interval_from_args,
+        lambda cfg, seed: experiments.interval_instances(**_seeded(cfg, seed)),
+        lambda inst: interval_mult_report(
+            inst["p"], inst["m"], inst["n"], inst["A"], inst["B"]
+        ).to_dict(),
+    ),
+    "bourgain": Experiment(
+        ("prime",),
+        lambda args: {"p": args.prime, **_two_sets(args)},
+        lambda cfg, seed: experiments.bourgain_instances(
+            **_seeded(cfg, seed), size_max=cfg.get("size_max", 6)
+        ),
+        lambda inst: bourgain_report(inst["p"], inst["A"], inst["B"]).to_dict(),
+    ),
+}
+
+
+def _run_task(task) -> dict:
+    """Payload for one (experiment name, instance) pair; worker-pool entry."""
+    name, inst = task
+    payload = EXPERIMENTS[name].run(inst)
+    if "index" in inst:
+        payload["instance"]["index"] = inst["index"]
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # sweep
-
-_D_FILTERS = ("all", "proper", "order>=2")
-
 
 def _d_options(p: int, d_filter) -> list[int]:
     divs = fpcore.divisors(p - 1)
@@ -389,153 +528,22 @@ def _config_primes(cfg: dict) -> list[int]:
     return primes
 
 
-def _sweep_tasks(cfg: dict, seed: int):
-    """Expand a config into an ordered list of (experiment, instance) tasks."""
-    name = cfg["experiment"]
-    samples = cfg.get("samples", 100)
-    if name == "search":
-        primes = _config_primes(cfg)
-        family = cfg.get("set", "qr")
-        mode = cfg.get("mode", "decomposition")
-        tasks = []
-        for p in primes:
-            if family == "qr":
-                tasks.append((name, {"p": p, "set": "qr", "mode": mode, "cfg": cfg}))
-            elif family == "subgroup":
-                for d in _d_options(p, cfg.get("d_filter", "proper")):
-                    tasks.append(
-                        (name, {"p": p, "set": f"subgroup:{d}", "mode": mode, "cfg": cfg})
-                    )
-            else:
-                raise ConfigError(f"search sweep does not support set family {family!r}")
-        return tasks
-    if name == "packing":
-        primes = _config_primes(cfg)
-        return [
-            (name, {"p": p, "d": d, "cfg": cfg})
-            for p in primes
-            for d in _d_options(p, cfg.get("d_filter", "all"))
-        ]
-    if name in ("growth", "karatsuba"):
-        primes = _config_primes(cfg)
-        d_filter = cfg.get("d_filter", "order>=2" if name == "growth" else "all")
-        return [
-            (name, {"p": p, "d": d, "cfg": cfg})
-            for p in primes
-            for d in _d_options(p, d_filter)
-        ]
-    if name == "vinogradov":
-        _config_primes(cfg)
-        gen = experiments.vinogradov_instances(samples, seed, p_max=cfg["p_range"][1])
-    elif name == "weil":
-        _config_primes(cfg)
-        gen = experiments.weil_instances(
-            samples, seed, p_max=cfg["p_range"][1], deg_max=cfg.get("deg_max", 6)
-        )
-    elif name == "wsum":
-        _config_primes(cfg)
-        gen = experiments.wsum_instances(
-            samples, seed, p_max=cfg["p_range"][1], b_max=cfg.get("b_max", 6)
-        )
-    elif name == "nsum":
-        _config_primes(cfg)
-        gen = experiments.nsum_instances(
-            samples, seed, p_max=cfg["p_range"][1], b_max=cfg.get("b_max", 6)
-        )
-    elif name == "shkvyu":
-        _config_primes(cfg)
-        gen = experiments.shkvyu_instances(
-            seed,
-            p_max=cfg["p_range"][1],
-            order_cap=cfg.get("g_max", 30),
-            ms=tuple(cfg.get("m", [2, 3])),
-            samples=samples,
-        )
-    elif name == "interval":
-        _config_primes(cfg)
-        gen = experiments.interval_instances(samples, seed, p_max=cfg["p_range"][1])
-    elif name == "bourgain":
-        _config_primes(cfg)
-        gen = experiments.bourgain_instances(
-            samples, seed, p_max=cfg["p_range"][1], size_max=cfg.get("size_max", 6)
-        )
-    else:
-        raise ConfigError(f"unknown sweep experiment {name!r}")
-    return [(name, inst) for inst in gen]
-
-
-def _sweep_run_one(task) -> dict:
-    name, inst = task
-    if name == "search":
-        cfg = inst["cfg"]
-        p = inst["p"]
-        target, meta = parse_target(inst["set"], p)
-        mode = "self_decomposition" if inst["mode"] == "self" else "decomposition"
-        query = DecompQuery(
-            S=target,
-            mode=mode,
-            min_size=cfg.get("min_size", 2),
-            node_budget=cfg.get("node_budget", 10**8),
-            time_budget=cfg.get("time_budget", 300.0),
-            subgroup_d=meta.get("d"),
-        )
-        report = run_query(query)
-        payload = report.to_dict()
-        payload["instance"] = json_ready({"p": p, "set": inst["set"], "mode": inst["mode"]})
-        return payload
-    if name == "packing":
-        cfg = inst["cfg"]
-        rep = packing_bound_harness(
-            inst["p"],
-            inst["d"],
-            node_budget=cfg.get("node_budget", 10**8),
-            time_budget=cfg.get("time_budget", 300.0),
-        )
-        return rep.to_dict()
-    if name == "growth":
-        return growth_exponent_report(inst["p"], inst["d"]).to_dict()
-    if name == "karatsuba":
-        return subgroup_ratio_report(inst["p"], inst["d"]).to_dict()
-    if name == "vinogradov":
-        fld = fpcore.make_field(inst["p"])
-        chi = Character(fld, inst["d"], inst["j"])
-        rep = vinogradov_check(chi, inst["A"], inst["B"])
-    elif name == "weil":
-        fld = fpcore.make_field(inst["p"])
-        chi = Character(fld, inst["d"], inst["j"])
-        rep = weil_report(chi, inst["poly"])
-    elif name == "wsum":
-        rep = w_identity_report(inst["p"], inst["d"], inst["B"])
-    elif name == "nsum":
-        rep = n_count_report(inst["p"], inst["d"], inst["B"])
-    elif name == "shkvyu":
-        rep = shkvyu_report(inst["p"], inst["d"], inst["shifts"])
-    elif name == "interval":
-        rep = interval_mult_report(inst["p"], inst["m"], inst["n"], inst["A"], inst["B"])
-    elif name == "bourgain":
-        rep = bourgain_report(inst["p"], inst["A"], inst["B"])
-    else:  # pragma: no cover - guarded by _sweep_tasks
-        raise ConfigError(f"unknown sweep experiment {name!r}")
-    out = rep.to_dict()
-    index = inst.get("index")
-    if index is not None:
-        out["instance"]["index"] = index
-    return out
-
-
 def _cmd_sweep(args):
     _require(args, "config")
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    tasks = _sweep_tasks(cfg, seed)
+    name = cfg["experiment"]
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown sweep experiment {name!r}")
+    tasks = [(name, inst) for inst in EXPERIMENTS[name].sweep(cfg, seed)]
     if not tasks:
         raise ConfigError("sweep expanded to an empty grid")
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             chunk = max(1, len(tasks) // (args.workers * 8))
-            payloads = list(pool.map(_sweep_run_one, tasks, chunksize=chunk))
+            payloads = list(pool.map(_run_task, tasks, chunksize=chunk))
     else:
-        payloads = [_sweep_run_one(t) for t in tasks]
+        payloads = [_run_task(t) for t in tasks]
     expect = cfg.get("expect")
     expectations_failed = 0
     if expect:
@@ -548,21 +556,6 @@ def _cmd_sweep(args):
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
-
-_HANDLERS = {
-    "search": _cmd_search,
-    "packing": _cmd_packing,
-    "weil": _cmd_weil,
-    "vinogradov": _cmd_vinogradov,
-    "karatsuba": _cmd_karatsuba,
-    "wsum": _cmd_wsum,
-    "nsum": _cmd_nsum,
-    "shkvyu": _cmd_shkvyu,
-    "growth": _cmd_growth,
-    "interval": _cmd_interval,
-    "bourgain": _cmd_bourgain,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -599,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="additive decompositions of multiplicative structures mod p",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in EXPERIMENTS:
         sub.add_parser(name, parents=[common])
     sweep = sub.add_parser("sweep", parents=[common])
     sweep.add_argument("--config", help="sweep configuration JSON file")
@@ -618,7 +611,10 @@ def run(argv) -> int:
         if args.command == "sweep":
             records, expectations_failed = _cmd_sweep(args)
         else:
-            records = _HANDLERS[args.command](args)
+            experiment = EXPERIMENTS[args.command]
+            _require(args, *experiment.requires)
+            payload = experiment.run(experiment.from_args(args))
+            records = [make_record(args.command, args.seed, payload, args.stable)]
             expectations_failed = 0
     except (FFDecompError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -128,9 +128,9 @@ def _trans_table(p: int, s_bits: int) -> list[int]:
 class _Ctx:
     __slots__ = (
         "p",
-        "mask",
         "s_bits",
-        "n_s",
+        "floor",
+        "packing",
         "trans",
         "min_size",
         "cap",
@@ -140,14 +140,17 @@ class _Ctx:
         "nodes",
         "budget_hit",
         "witnesses",
-        "best",
     )
 
-    def __init__(self, p, s_bits, min_size, cap, max_wit, node_budget, deadline):
+    def __init__(
+        self, p, s_bits, floor, packing, min_size, cap, max_wit, node_budget, deadline
+    ):
         self.p = p
-        self.mask = (1 << p) - 1
         self.s_bits = s_bits
-        self.n_s = s_bits.bit_count()
+        # An accepted (A, B) has #A * #B > floor: #S - 1 when deciding
+        # S = A + B, the best product so far when packing.
+        self.floor = floor
+        self.packing = packing
         self.trans = _trans_table(p, s_bits)
         self.min_size = min_size
         self.cap = cap if cap is not None else p
@@ -157,7 +160,6 @@ class _Ctx:
         self.nodes = 0
         self.budget_hit = False
         self.witnesses = []
-        self.best = 0
 
     def tick(self):
         self.nodes += 1
@@ -191,24 +193,29 @@ def _emit_pair(ctx, a_bits, b_list, require_equal):
     ctx.witnesses.append(pair)
 
 
-def _dfs_decomposition(ctx, b_list, a_bits, a_size, cands):
+def _dfs(ctx, b_list, a_bits, a_size, cands):
     nb = len(b_list)
     if nb > a_size or nb > ctx.cap:
         return
-    if nb >= ctx.min_size and a_size >= ctx.min_size and a_size * nb >= ctx.n_s:
-        acc = 0
-        for b in b_list:
-            acc |= cyclic_shift(a_bits, b, ctx.p)
-        if acc == ctx.s_bits:
-            _emit_pair(ctx, a_bits, b_list, require_equal=True)
-            if len(ctx.witnesses) >= ctx.max_wit:
-                raise _Done
+    ms = ctx.min_size
+    if nb >= ms and a_size >= ms and a_size * nb > ctx.floor:
+        if ctx.packing:
+            ctx.floor = a_size * nb
+            ctx.witnesses = []
+            _emit_pair(ctx, a_bits, b_list, require_equal=False)
+        else:
+            acc = 0
+            for b in b_list:
+                acc |= cyclic_shift(a_bits, b, ctx.p)
+            if acc == ctx.s_bits:
+                _emit_pair(ctx, a_bits, b_list, require_equal=True)
+                if len(ctx.witnesses) >= ctx.max_wit:
+                    raise _Done
     if not cands:
         return
     bound_b = min(nb + len(cands), a_size, ctx.cap)
-    if bound_b < ctx.min_size or a_size * bound_b < ctx.n_s:
+    if bound_b < ms or a_size * bound_b <= ctx.floor:
         return
-    ms = ctx.min_size
     trans = ctx.trans
     kept = []
     need = nb + 1
@@ -227,55 +234,14 @@ def _dfs_decomposition(ctx, b_list, a_bits, a_size, cands):
         size_b = nb + j
         if size_b > tj or size_b > ctx.cap:
             break
-        if size_b >= ms and tj * size_b >= ctx.n_s:
+        if size_b >= ms and tj * size_b > ctx.floor:
             feasible = True
             break
     if not feasible:
         return
     for i, (c, child, t) in enumerate(kept):
         tail = [kept[x][0] for x in range(i + 1, len(kept))]
-        _dfs_decomposition(ctx, b_list + [c], child, t, tail)
-
-
-def _dfs_packing(ctx, b_list, a_bits, a_size, cands):
-    nb = len(b_list)
-    if nb > a_size or nb > ctx.cap:
-        return
-    if nb >= ctx.min_size and a_size >= ctx.min_size and a_size * nb > ctx.best:
-        ctx.best = a_size * nb
-        ctx.witnesses = []
-        _emit_pair(ctx, a_bits, b_list, require_equal=False)
-    if not cands:
-        return
-    bound_b = min(nb + len(cands), a_size, ctx.cap)
-    if a_size * bound_b <= ctx.best:
-        return
-    trans = ctx.trans
-    kept = []
-    need = nb + 1
-    for c in cands:
-        ctx.tick()
-        child = a_bits & trans[c]
-        t = child.bit_count()
-        if t < need or t < ctx.min_size:
-            continue
-        kept.append((c, child, t))
-    if not kept:
-        return
-    ts = sorted((t for _, _, t in kept), reverse=True)
-    feasible = False
-    for j, tj in enumerate(ts, start=1):
-        size_b = nb + j
-        if size_b > tj or size_b > ctx.cap:
-            break
-        if size_b >= ctx.min_size and tj * size_b > ctx.best:
-            feasible = True
-            break
-    if not feasible:
-        return
-    for i, (c, child, t) in enumerate(kept):
-        tail = [kept[x][0] for x in range(i + 1, len(kept))]
-        _dfs_packing(ctx, b_list + [c], child, t, tail)
+        _dfs(ctx, b_list + [c], child, t, tail)
 
 
 def _dfs_self(ctx, a_list, a_bits, sum_bits, cands):
@@ -344,66 +310,43 @@ def _self_domain_bits(s_bits: int, p: int) -> int:
     return out
 
 
-def _partition_payloads(query: DecompQuery, allowed_firsts, deadline, node_budget, best0):
+def _partition_payloads(query: DecompQuery, allowed_firsts, deadline, floor):
+    """One payload per allowed first element; node_budget is set by the caller."""
     p = query.S.p
-    payloads = []
     if query.mode == MODE_SELF:
-        domain = _self_domain_bits(query.S.bits, p)
-        firsts = bit_elements(domain)
-        if allowed_firsts is not None:
-            allow = set(allowed_firsts)
-            firsts = [a for a in firsts if a in allow]
-        domain_elems = bit_elements(domain)
-        for a1 in firsts:
-            payloads.append(
-                {
-                    "mode": query.mode,
-                    "p": p,
-                    "s_bits": query.S.bits,
-                    "min_size": query.min_size,
-                    "cap": query.b_size_cap,
-                    "max_wit": query.max_witnesses,
-                    "node_budget": node_budget,
-                    "deadline": deadline,
-                    "first": a1,
-                    "cands": [c for c in domain_elems if c > a1],
-                    "best0": best0,
-                }
-            )
+        domain = bit_elements(_self_domain_bits(query.S.bits, p))
+        allow = set(domain if allowed_firsts is None else allowed_firsts)
+        parts = [(a1, [c for c in domain if c > a1]) for a1 in domain if a1 in allow]
     else:
         firsts = allowed_firsts if allowed_firsts is not None else list(range(1, p))
-        for b1 in firsts:
-            payloads.append(
-                {
-                    "mode": query.mode,
-                    "p": p,
-                    "s_bits": query.S.bits,
-                    "min_size": query.min_size,
-                    "cap": query.b_size_cap,
-                    "max_wit": query.max_witnesses,
-                    "node_budget": node_budget,
-                    "deadline": deadline,
-                    "first": b1,
-                    "cands": list(range(b1 + 1, p)),
-                    "best0": best0,
-                }
-            )
-    return payloads
+        parts = [(b1, list(range(b1 + 1, p))) for b1 in firsts]
+    base = {
+        "mode": query.mode,
+        "p": p,
+        "s_bits": query.S.bits,
+        "floor": floor,
+        "min_size": query.min_size,
+        "cap": query.b_size_cap,
+        "max_wit": query.max_witnesses,
+        "deadline": deadline,
+    }
+    return [dict(base, first=first, cands=cands) for first, cands in parts]
 
 
 def _run_partition(payload: dict) -> dict:
     """Explore one first-element partition; used directly and via worker pools."""
+    mode = payload["mode"]
     ctx = _Ctx(
         payload["p"],
         payload["s_bits"],
+        payload["floor"],
+        mode == MODE_PACKING,
         payload["min_size"],
         payload["cap"],
         payload["max_wit"],
         payload["node_budget"],
         payload["deadline"],
     )
-    ctx.best = payload["best0"]
-    mode = payload["mode"]
     first = payload["first"]
     try:
         ctx.tick()
@@ -415,17 +358,14 @@ def _run_partition(payload: dict) -> dict:
             a_bits = ctx.s_bits & ctx.trans[first]
             t = a_bits.bit_count()
             if t >= max(ctx.min_size, 2):
-                dfs = _dfs_decomposition if mode == MODE_DECOMPOSITION else _dfs_packing
-                dfs(ctx, [0, first], a_bits, t, payload["cands"])
-    except _Stop:
-        pass
-    except _Done:
+                _dfs(ctx, [0, first], a_bits, t, payload["cands"])
+    except (_Stop, _Done):
         pass
     return {
         "witnesses": [(a.bits, b.bits) for a, b in ctx.witnesses],
         "nodes": ctx.nodes,
         "budget_hit": ctx.budget_hit,
-        "best": ctx.best,
+        "best": ctx.floor,
     }
 
 
@@ -463,7 +403,7 @@ def find_additive_decompositions(query: DecompQuery, workers: int = 1) -> Decomp
     if n_s < query.min_size:
         # #(A+B) >= max(#A, #B) >= min_size exceeds #S: nothing to search
         return _finish(query, STATUS_EXHAUSTED, witnesses, nodes, started)
-    return _drive(query, allowed, witnesses, nodes, started, best0=0, workers=workers)
+    return _drive(query, allowed, witnesses, nodes, started, n_s - 1, workers=workers)
 
 
 def find_self_decomposition(query: DecompQuery, workers: int = 1) -> DecompReport:
@@ -475,7 +415,7 @@ def find_self_decomposition(query: DecompQuery, workers: int = 1) -> DecompRepor
         raise ValueError("target set must be nonempty")
     started = time.monotonic()
     allowed = _symmetry_setup(query)
-    return _drive(query, allowed, [], 0, started, best0=0, workers=workers)
+    return _drive(query, allowed, [], 0, started, 0, workers=workers)
 
 
 def max_packing(query: DecompQuery, workers: int = 1) -> DecompReport:
@@ -493,11 +433,11 @@ def max_packing(query: DecompQuery, workers: int = 1) -> DecompReport:
     allowed = _symmetry_setup(query)
     witnesses: list = []
     nodes = 1
-    best0 = 0
+    best = 0
     if query.min_size <= 1:
-        best0 = len(query.S)
+        best = len(query.S)
         witnesses.append((query.S, FpSet.from_elements(p, [0])))
-    return _drive(query, allowed, witnesses, nodes, started, best0=best0, workers=workers)
+    return _drive(query, allowed, witnesses, nodes, started, best, workers=workers)
 
 
 def run_query(query: DecompQuery, workers: int = 1) -> DecompReport:
@@ -508,36 +448,41 @@ def run_query(query: DecompQuery, workers: int = 1) -> DecompReport:
     return max_packing(query, workers=workers)
 
 
-def _drive(query, allowed, witnesses, nodes, started, best0, workers: int = 1):
-    deadline = started + query.time_budget
+def _drive(query, allowed, witnesses, nodes, started, floor, workers: int = 1):
+    """Run every partition and merge their results.  floor seeds _Ctx.floor;
+    when packing it is the product of the witness already in witnesses (0 if
+    there is none)."""
     packing = query.mode == MODE_PACKING
-    payloads = _partition_payloads(
-        query, allowed, deadline, max(1, query.node_budget), best0
-    )
+    payloads = _partition_payloads(query, allowed, started + query.time_budget, floor)
     budget_hit = False
-    best = best0
-    best_witness = list(witnesses)
+    best = floor
+
+    def merge(result) -> bool:
+        """Fold one partition's result in; True once the witness quota is met."""
+        nonlocal nodes, budget_hit, best
+        nodes += result["nodes"]
+        budget_hit = budget_hit or result["budget_hit"]
+        got = _revive(query.S.p, result["witnesses"])
+        if packing:
+            if result["best"] > best and got:
+                best = result["best"]
+                witnesses[:] = got[-1:]
+            return False
+        witnesses.extend(got[: query.max_witnesses - len(witnesses)])
+        return len(witnesses) >= query.max_witnesses
+
     if workers <= 1 or len(payloads) <= 1:
-        remaining = query.node_budget - nodes
+        # serial: each partition gets whatever node budget is left
         for payload in payloads:
+            remaining = query.node_budget - nodes
             if remaining <= 0:
                 budget_hit = True
                 break
             payload["node_budget"] = remaining
-            payload["best0"] = best if packing else 0
-            result = _run_partition(payload)
-            nodes += result["nodes"]
-            remaining -= result["nodes"]
-            budget_hit = budget_hit or result["budget_hit"]
-            got = _revive(query.S.p, result["witnesses"])
             if packing:
-                if result["best"] > best and got:
-                    best = result["best"]
-                    best_witness = got[-1:]
-            else:
-                witnesses.extend(got)
-                if len(witnesses) >= query.max_witnesses:
-                    break
+                payload["floor"] = best
+            if merge(_run_partition(payload)):
+                break
     else:
         per_part = max(1, (query.node_budget - nodes) // max(1, len(payloads)))
         for payload in payloads:
@@ -545,21 +490,10 @@ def _drive(query, allowed, witnesses, nodes, started, best0, workers: int = 1):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(payloads) // (workers * 4))
             for result in pool.map(_run_partition, payloads, chunksize=chunk):
-                nodes += result["nodes"]
-                budget_hit = budget_hit or result["budget_hit"]
-                got = _revive(query.S.p, result["witnesses"])
-                if packing:
-                    if result["best"] > best and got:
-                        best = result["best"]
-                        best_witness = got[-1:]
-                else:
-                    if len(witnesses) < query.max_witnesses:
-                        witnesses.extend(got[: query.max_witnesses - len(witnesses)])
+                merge(result)
     if packing:
-        extras = {"product": best}
         status = STATUS_BUDGET if budget_hit else STATUS_FOUND
-        return _finish(query, status, best_witness, nodes, started, extras)
-    witnesses = witnesses[: query.max_witnesses]
+        return _finish(query, status, witnesses, nodes, started, {"product": best})
     if witnesses:
         status = STATUS_FOUND
     elif budget_hit:

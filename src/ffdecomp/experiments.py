@@ -62,13 +62,6 @@ def lstar(p: int, d: int) -> int:
     return math.ceil(math.log(math.sqrt(p) / d) / math.log(d))
 
 
-def subgroup_upper_display(p: int, d: int) -> float:
-    """Display-only companion value d sqrt(p) log p / (2 log d)."""
-    if d < 2:
-        raise BadIndex("needs d >= 2")
-    return 0.5 * d * math.sqrt(p) * math.log(p) / math.log(d)
-
-
 # ---------------------------------------------------------------------------
 # membership-product identities
 
@@ -77,6 +70,28 @@ def _validate_subgroup_args(p: int, d: int):
     if d < 2 or (p - 1) % d != 0:
         raise BadIndex(f"need d >= 2 dividing p-1; got d = {d}, p = {p}")
     return fld, subgroup(fld, d)
+
+
+def _character_expansions(fld, d: int, b_elems):
+    """For each b in B, the array over x in F_p^* of sum_j chi^j(x^d - b),
+    chi a character of order d: d where x^d - b is a nonzero d-th power,
+    0 elsewhere (and 0 where x^d = b), in complex arithmetic."""
+    p = fld.p
+    dlog_np = fld.dlog_np
+    exp_np = np.array(fld.exp, dtype=np.int64)
+    k = dlog_np[1:p]
+    xd = exp_np[(d * k) % (p - 1)]
+    zeta = np.exp(2j * np.pi * np.arange(d) / d)
+    for b in b_elems:
+        v = (xd - b) % p
+        nz = v != 0
+        inner = np.zeros(p - 1, dtype=complex)
+        kv = dlog_np[v[nz]]
+        acc = np.zeros(int(nz.sum()), dtype=complex)
+        for j in range(d):
+            acc += zeta[(j * kv) % d]
+        inner[nz] = acc
+        yield inner
 
 
 def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
@@ -108,21 +123,8 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
     w_direct = d * count
 
     # (ii) full character expansion in complex arithmetic
-    dlog_np = fld.dlog_np
-    exp_np = np.array(fld.exp, dtype=np.int64)
-    k = dlog_np[1:p]
-    xd = exp_np[(d * k) % (p - 1)]
-    zeta = np.exp(2j * np.pi * np.arange(d) / d)
     factors = np.ones(p - 1, dtype=complex)
-    for b in b_elems:
-        v = (xd - b) % p
-        nz = v != 0
-        inner = np.zeros(p - 1, dtype=complex)
-        kv = dlog_np[v[nz]]
-        acc = np.zeros(int(nz.sum()), dtype=complex)
-        for j in range(d):
-            acc += zeta[(j * kv) % d]
-        inner[nz] = acc
+    for inner in _character_expansions(fld, d, b_elems):
         factors *= 1 - inner / d
     w_char = complex(factors.sum())
 
@@ -189,21 +191,8 @@ def n_count_report(p: int, d: int, b_star: FpSet) -> BoundReport:
         if all((g_bits >> ((u - b) % p)) & 1 for b in b_elems):
             n_direct += 1
 
-    dlog_np = fld.dlog_np
-    exp_np = np.array(fld.exp, dtype=np.int64)
-    k = dlog_np[1:p]
-    xd = exp_np[(d * k) % (p - 1)]
-    zeta = np.exp(2j * np.pi * np.arange(d) / d)
     factors = np.ones(p - 1, dtype=complex)
-    for b in b_elems:
-        v = (xd - b) % p
-        nz = v != 0
-        inner = np.zeros(p - 1, dtype=complex)
-        kv = dlog_np[v[nz]]
-        acc = np.zeros(int(nz.sum()), dtype=complex)
-        for j in range(d):
-            acc += zeta[(j * kv) % d]
-        inner[nz] = acc
+    for inner in _character_expansions(fld, d, b_elems):
         factors *= inner
     n_char = complex(factors.sum()) / d ** (length + 1)
 

@@ -131,14 +131,6 @@ def sumset(a: FpSet, b: FpSet) -> FpSet:
     return FpSet(p, out)
 
 
-def sumset_bits(big: int, shifts, p: int) -> int:
-    """Raw-integer sumset kernel used by the search engine."""
-    out = 0
-    for s in shifts:
-        out |= cyclic_shift(big, s, p)
-    return out
-
-
 def productset(a: FpSet, b: FpSet, fld=None) -> FpSet:
     """A * B = {x * y mod p}.
 
@@ -243,7 +235,8 @@ def growth_product(a: FpSet, b: int) -> FpSet:
         binv = pow(b, -1, p)
         scaled = affine(a, binv, 0)
         conj = affine(productset(scaled, scaled.translate(1)), b * b % p, 0)
-        assert direct == conj, f"conjugation identity violated at p={p}, b={b}"
+        if direct != conj:
+            raise AssertionError(f"conjugation identity violated at p={p}, b={b}")
     return direct
 
 

@@ -1,6 +1,11 @@
 import cmath
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +222,49 @@ def test_interval_exp_sum_matches_direct_sum():
         assert abs(direct - closed) < 1e-9
         if lam != 0:
             assert closed <= p / abs(lam) + 1e-9
+
+
+_OPTIMIZED_CHECKS_SCRIPT = r"""
+import json, math, sys
+from ffdecomp import charsum, setalg
+from ffdecomp.fpcore import make_field
+from ffdecomp.setalg import FpSet
+
+chi = charsum.Character(make_field(7), 2, 1)
+a = FpSet.from_elements(7, [1, 2])
+calls = {
+    "double_char_sum": lambda: charsum.double_char_sum(chi, a, a),
+    "interval_exp_sum": lambda: charsum.interval_exp_sum(7, 0, 7, 2),
+    "growth_product": lambda: setalg.growth_product(a, 3),
+}
+for call in calls.values():
+    call()  # intact inputs pass every check
+
+def raises(call):
+    try:
+        call()
+    except AssertionError:
+        return True
+    return False
+
+charsum.RootOfUnityTally.total = lambda self: -1  # tally no longer sums to #A * #B
+math.sin = lambda x: x  # |sin(pi lam n / p) / sin(pi lam / p)| becomes n = 7 > p / 2
+setalg.affine = lambda s, lam, mu: FpSet(s.p, 0)  # conjugated route returns the empty set
+print(json.dumps({"optimize": sys.flags.optimize, **{k: raises(c) for k, c in calls.items()}}))
+"""
+
+
+def test_library_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert json.loads(out) == {
+        "optimize": 1,
+        "double_char_sum": True,
+        "interval_exp_sum": True,
+        "growth_product": True,
+    }

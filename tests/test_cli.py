@@ -8,11 +8,12 @@ from ffdecomp.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _exit_code,
+    build_parser,
     make_record,
     parse_target,
     run,
 )
-from ffdecomp.setalg import FpSet
+from ffdecomp.setalg import FpSet, format_set
 
 
 def run_records(argv, capsys):
@@ -237,3 +238,87 @@ def test_cache_dir_flag(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert code == EXIT_OK
     assert (tmp_path / "field_10037.bin").exists()
+
+
+# One tiny --stable sweep per experiment: p_range and samples keep each to a
+# handful of records.
+SWEEP_CONFIGS = {
+    "search": {"set": "subgroup", "p_range": [5, 13]},
+    "packing": {"p_range": [5, 13]},
+    "weil": {"p_range": [5, 31], "samples": 3, "deg_max": 3},
+    "vinogradov": {"p_range": [5, 31], "samples": 3},
+    "karatsuba": {"p_range": [5, 13]},
+    "wsum": {"p_range": [5, 31], "samples": 3, "b_max": 3},
+    "nsum": {"p_range": [5, 31], "samples": 3, "b_max": 3},
+    "shkvyu": {"p_range": [5, 11], "samples": 2, "g_max": 4, "m": [2]},
+    "growth": {"p_range": [5, 13]},
+    "interval": {"p_range": [5, 13], "samples": 3},
+    "bourgain": {"p_range": [5, 13], "samples": 3, "size_max": 3},
+}
+
+SEEDED = {"weil", "vinogradov", "wsum", "nsum", "shkvyu", "interval", "bourgain"}
+
+
+def _lit(p, elems):
+    return format_set(FpSet.from_elements(p, elems))
+
+
+def _single_op_argv(name, inst):
+    """The single-op command line that evaluates one sweep instance."""
+    p = inst["p"]
+    argv = [name, "--prime", str(p)]
+    if "d" in inst:
+        argv += ["--d", str(inst["d"])]
+    if "j" in inst:
+        argv += ["--j", str(inst["j"])]
+    if name == "weil":
+        argv += ["--poly", ",".join(map(str, inst["poly"]))]
+    elif name == "shkvyu":
+        argv += ["--m", str(inst["m"]), "--shifts", ",".join(map(str, inst["shifts"]))]
+    elif name == "interval":
+        argv += ["--set", f"interval:{inst['m']},{inst['n']}"]
+    if name in ("wsum", "nsum"):
+        argv += ["--set", _lit(p, inst["B"])]
+    elif isinstance(inst.get("A"), list):  # karatsuba sweeps echo "subgroup"
+        argv += ["--set", _lit(p, inst["A"]), "--set", _lit(p, inst["B"])]
+    return argv
+
+
+def test_sweep_matches_single_op_for_every_experiment(tmp_path, capsys):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    assert set(SWEEP_CONFIGS) == set(sub.choices) - {"sweep"}
+    for name, extra in SWEEP_CONFIGS.items():
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"experiment": name, **extra}))
+        code, records = run_records(
+            ["sweep", "--config", str(cfg), "--stable", "--seed", "1"], capsys
+        )
+        assert code == EXIT_OK, name
+        assert records, name
+        indices = []
+        for rec in records:
+            payload = rec["payload"]
+            inst = dict(payload["instance"])
+            if name == "search":
+                # sweep search records echo the config mode and carry no bounds
+                single_argv = ["search", "--prime", str(inst["p"]), "--set", inst["set"]]
+                code, (single,) = run_records(single_argv + ["--stable"], capsys)
+                assert code == EXIT_OK
+                for key in ("status", "witnesses"):
+                    assert single["payload"][key] == payload[key], (name, inst)
+                continue
+            if name in SEEDED:
+                indices.append((inst.get("m"), inst.get("d"), inst["p"], inst.pop("index")))
+            code, (single,) = run_records(_single_op_argv(name, inst) + ["--stable"], capsys)
+            assert code == EXIT_OK
+            expected = dict(payload, instance=inst)
+            assert single["payload"] == expected, (name, inst)
+            assert single["command"] == name
+        if name == "shkvyu":  # samples are numbered within each (p, d, m)
+            groups = {}
+            for m, d, p, index in indices:
+                groups.setdefault((p, d, m), []).append(index)
+            assert all(ix == list(range(len(ix))) for ix in groups.values())
+        elif name in SEEDED:
+            assert [ix for *_, ix in indices] == list(range(len(records))), name
