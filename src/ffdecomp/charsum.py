@@ -18,7 +18,7 @@ from . import polyfp
 from .errors import BadIndex
 from .fpcore import PrimeField
 from .reports import BoundReport
-from .setalg import FpSet
+from .setalg import FpSet, bits_from
 
 MAGNITUDE_TOL = 1e-6
 
@@ -153,10 +153,8 @@ def indicator_identity_holds(fld: PrimeField, d: int) -> bool:
 
     sub = subgroup(fld, d)
     # Membership table must match the dlog divisibility criterion.
-    member_bits = 0
-    for x in range(1, fld.p):
-        if fld.dlog[x] % d == 0:
-            member_bits |= 1 << x
+    dl = fld.dlog
+    member_bits = bits_from([x for x in range(1, fld.p) if dl[x] % d == 0], fld.p)
     if member_bits != sub.elements.bits:
         return False
     for k_class in range(d):

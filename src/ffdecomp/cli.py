@@ -52,7 +52,7 @@ from .experiments import (
     w_identity_report,
 )
 from .reports import json_ready
-from .setalg import FpSet, parse_set
+from .setalg import FpSet, bits_from, parse_set
 
 SCHEMA_VERSION = 1
 
@@ -109,11 +109,8 @@ def parse_target(text: str, p: int | None):
         return fpcore.subgroup(fld, d).elements, {"family": "subgroup", "d": d}
     if text == "primroots":
         n = p - 1
-        bits = 0
-        for k in range(n):
-            if math.gcd(k, n) == 1:
-                bits |= 1 << fld.exp[k]
-        return FpSet(p, bits), {"family": "primroots"}
+        roots = [fld.exp[k] for k in range(n) if math.gcd(k, n) == 1]
+        return FpSet(p, bits_from(roots, p)), {"family": "primroots"}
     if text.startswith("interval:"):
         parts = text.split(":", 1)[1].split(",")
         if len(parts) != 2:

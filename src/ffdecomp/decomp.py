@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from . import fpcore
 from .errors import EmptyB
 from .reports import json_ready
-from .setalg import FpSet, bit_elements, cyclic_shift
+from .setalg import FpSet, bit_elements, bits_from, cyclic_shift
 
 MODE_DECOMPOSITION = "decomposition"
 MODE_SELF = "self_decomposition"
@@ -304,10 +304,7 @@ def _symmetry_setup(query: DecompQuery) -> list[int] | None:
 def _self_domain_bits(s_bits: int, p: int) -> int:
     """Elements a with a + a in S; for odd p this is the dilation of S by 2^-1."""
     inv2 = pow(2, -1, p)
-    out = 0
-    for s in bit_elements(s_bits):
-        out |= 1 << (inv2 * s % p)
-    return out
+    return bits_from([inv2 * s % p for s in bit_elements(s_bits)], p)
 
 
 def _partition_payloads(query: DecompQuery, allowed_firsts, deadline, floor):
@@ -422,7 +419,9 @@ def max_packing(query: DecompQuery, workers: int = 1) -> DecompReport:
     """Maximize #A * #B subject to A + B contained in S.
 
     The first witness attaining the maximum in canonical search order is
-    returned; extras carry the product.
+    returned; extras carry the product.  When no pair meets min_size the
+    status is exhausted_none (product 0), or budget_exceeded if the budget
+    ran out first.
     """
     if query.mode != MODE_PACKING:
         raise ValueError("query.mode must be 'packing'")
@@ -491,16 +490,14 @@ def _drive(query, allowed, witnesses, nodes, started, floor, workers: int = 1):
             chunk = max(1, len(payloads) // (workers * 4))
             for result in pool.map(_run_partition, payloads, chunksize=chunk):
                 merge(result)
-    if packing:
-        status = STATUS_BUDGET if budget_hit else STATUS_FOUND
-        return _finish(query, status, witnesses, nodes, started, {"product": best})
-    if witnesses:
+    if budget_hit and (packing or not witnesses):
+        status = STATUS_BUDGET  # packing: a larger product may lie in the unsearched part
+    elif witnesses:
         status = STATUS_FOUND
-    elif budget_hit:
-        status = STATUS_BUDGET
     else:
         status = STATUS_EXHAUSTED
-    return _finish(query, status, witnesses, nodes, started)
+    extras = {"product": best} if packing else None
+    return _finish(query, status, witnesses, nodes, started, extras)
 
 
 def _revive(p, packed):

@@ -3,11 +3,16 @@
 A PrimeField fixes the smallest primitive root g of p and tabulates the
 discrete logarithm of every nonzero residue, so that character evaluation
 and subgroup membership reduce to one table lookup.  Tables are cached on
-disk, one binary file per modulus.
+disk, one binary file per modulus; both the cold build and the load from
+disk fill them with numpy, without a Python loop over the field.  Fields
+are memoized per modulus and subgroups per (field, d); the subgroup bits
+come from setalg.bits_from, linear in p.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 import struct
 import sys
@@ -128,17 +133,15 @@ class PrimeField:
     Instances are built once per modulus and shared; never mutate them.
     """
 
-    __slots__ = ("p", "g", "dlog", "exp", "_dlog_np")
+    __slots__ = ("p", "g", "dlog", "exp", "_dlog_np", "_subgroups")
 
-    def __init__(self, p: int, g: int, dlog: list[int]):
+    def __init__(self, p: int, g: int, dlog: list[int], exp: list[int]):
         self.p = p
         self.g = g
         self.dlog = dlog
-        exp = [0] * (p - 1)
-        for x in range(1, p):
-            exp[dlog[x]] = x
         self.exp = exp
         self._dlog_np = None
+        self._subgroups: dict[int, Subgroup] = {}
 
     def __repr__(self):
         return f"PrimeField(p={self.p}, g={self.g})"
@@ -164,13 +167,18 @@ class PrimeField:
 
 
 def _build_field(p: int) -> PrimeField:
+    """Baby-step giant-step blocks: row i, column j holds g**(m*i + j), a
+    product of two residues below p < 2**20, so int64 holds it exactly."""
     g = smallest_primitive_root(p)
-    dlog = [-1] * p
-    cur = 1
-    for k in range(p - 1):
-        dlog[cur] = k
-        cur = cur * g % p
-    return PrimeField(p, g, dlog)
+    n = p - 1
+    m = math.isqrt(n - 1) + 1  # m * m >= n
+    base = np.array([pow(g, j, p) for j in range(m)], dtype=np.int64)
+    rows = np.array([pow(g, m * i, p) for i in range(-(-n // m))], dtype=np.int64)
+    exp = (rows[:, None] * base[None, :] % p).ravel()[:n]
+    dlog = np.empty(p, dtype=np.int64)
+    dlog[0] = -1
+    dlog[exp] = np.arange(n)
+    return PrimeField(p, g, dlog.tolist(), exp.tolist())
 
 
 def default_cache_dir() -> Path:
@@ -190,30 +198,39 @@ def _write_cache(fld: PrimeField, cache_dir: Path) -> None:
         table.byteswap()
     path = _cache_path(fld.p, cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(_CACHE_VERSION, fld.p, fld.g))
-        fh.write(table.tobytes())
-    tmp.replace(path)
+    # A name of its own per writer ("x" refuses an existing file), so
+    # concurrent writers of one field never share a half-written file; the
+    # rename is atomic.
+    tmp = cache_dir / f"{path.stem}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_HEADER.pack(_CACHE_VERSION, fld.p, fld.g))
+            fh.write(table.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_cache(p: int, cache_dir: Path) -> PrimeField | None:
     path = _cache_path(p, cache_dir)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            header = fh.read(_HEADER.size)
+            table = np.fromfile(fh, dtype="<u4")  # dlog[1:]
     except OSError:
         return None
-    if len(raw) != _HEADER.size + 4 * (p - 1):
+    if len(header) != _HEADER.size or table.size != p - 1:
         return None
-    version, p_stored, g = _HEADER.unpack_from(raw)
-    if version != _CACHE_VERSION or p_stored != p:
+    version, p_stored, g = _HEADER.unpack(header)
+    if version != _CACHE_VERSION or p_stored != p or int(table.max()) >= p - 1:
         return None
-    table = array("I")
-    table.frombytes(raw[_HEADER.size :])
-    if sys.byteorder == "big":
-        table.byteswap()
-    dlog = [-1] + list(table)
-    return PrimeField(p, g, dlog)
+    exp = np.empty(p - 1, dtype=np.uint32)
+    exp[table] = np.arange(1, p, dtype=np.uint32)
+    dlog = table.tolist()
+    dlog.insert(0, -1)  # in place: no second full-size list
+    del table  # not needed while the exp list is built
+    return PrimeField(p, g, dlog, exp.tolist())
 
 
 def make_field(p: int, cache_dir: str | Path | None = None) -> PrimeField:
@@ -225,15 +242,15 @@ def make_field(p: int, cache_dir: str | Path | None = None) -> PrimeField:
     """
     if not isinstance(p, int):
         raise TypeError(f"modulus must be an integer, got {type(p).__name__}")
+    cached = _FIELD_CACHE.get(p)  # after the type check: 5.0 hashes like 5
+    if cached is not None:
+        return cached
     if p >= MODULUS_CAP:
         raise ModulusTooLarge(f"p = {p} exceeds the dlog-table cap 2**20")
     if not is_prime(p):
         raise CompositeModulus(f"p = {p} is not prime")
     if p < 3:
         raise CompositeModulus(f"p = {p}: modulus must be an odd prime >= 3")
-    cached = _FIELD_CACHE.get(p)
-    if cached is not None:
-        return cached
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     fld = _read_cache(p, directory)
     if fld is None:
@@ -274,13 +291,15 @@ class Subgroup:
 
 
 def subgroup(fld: PrimeField, d: int) -> Subgroup:
-    """G_d = {x**d : x in F_p^*}; membership is d | dlog(x)."""
-    from .setalg import FpSet
+    """G_d = {x**d : x in F_p^*} = {g**k : d | k}, memoized per (field, d)."""
+    from .setalg import FpSet, bits_from
 
     p = fld.p
+    d = operator.index(d)
     if d < 1 or (p - 1) % d != 0:
         raise BadIndex(f"d = {d} does not divide p-1 = {p - 1}")
-    bits = 0
-    for k in range(0, p - 1, d):
-        bits |= 1 << fld.exp[k]
-    return Subgroup(fld, d, FpSet(p, bits))
+    sub = fld._subgroups.get(d)
+    if sub is None:
+        sub = Subgroup(fld, d, FpSet(p, bits_from(fld.exp[::d], p)))
+        fld._subgroups[d] = sub
+    return sub

@@ -4,10 +4,18 @@ An FpSet stores its ambient modulus p and one Python integer whose bit i
 is set exactly when i belongs to the set.  Sumsets become OR-folds of
 cyclic shifts, intersections become AND, and cardinality is a popcount,
 all word-parallel.  Values are immutable; every operation returns a new set.
+
+Vectors go to and from element lists only through bit_elements and
+bits_from, which are linear in the bit length: setting or clearing one bit
+of a p-bit integer copies all p bits, so a loop of `bits |= 1 << x` or of
+lowest-bit extraction is quadratic once p nears 2**20.  Both helpers stay
+pure Python, because most sets here are small and many.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import DuplicateShift, MixedModulus
@@ -35,13 +43,34 @@ def cyclic_shift(bits: int, k: int, p: int) -> int:
 
 
 def bit_elements(bits: int) -> list[int]:
-    """Positions of set bits, ascending."""
+    """Positions of set bits, ascending; linear in the bit length.
+
+    The vector is cut into 64-bit words and the lowest-bit loop runs on each
+    word, so no step touches more than one word.
+    """
+    words = array("Q", bits.to_bytes(-(-bits.bit_length() // 64) * 8, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
     out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
+    for i, word in enumerate(words):
+        base = 64 * i - 1
+        while word:
+            low = word & -word
+            out.append(base + low.bit_length())
+            word ^= low
     return out
+
+
+def bits_from(positions, n: int) -> int:
+    """The vector with exactly the given positions set, each 0 <= x < n
+    (repeats allowed); linear in n plus the number of positions.
+
+    The vector is assembled in a byte buffer and converted once.
+    """
+    buf = bytearray((n + 7) >> 3)
+    for x in positions:
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,10 +92,7 @@ class FpSet:
 
     @classmethod
     def from_elements(cls, p: int, elements) -> "FpSet":
-        bits = 0
-        for e in elements:
-            bits |= 1 << (e % p)
-        return cls(p, bits)
+        return cls(p, bits_from((e % p for e in elements), p))
 
     @classmethod
     def empty(cls, p: int) -> "FpSet":
@@ -153,9 +179,7 @@ def productset(a: FpSet, b: FpSet, fld=None) -> FpSet:
     if fld is not None and fld.p == p:
         n = p - 1
         dl = fld.dlog
-        idx_big = 0
-        for x in bit_elements(big):
-            idx_big |= 1 << dl[x]
+        idx_big = bits_from([dl[x] for x in bit_elements(big)], n)
         acc = 0
         mask = (1 << n) - 1
         for x in bit_elements(small):
@@ -165,8 +189,7 @@ def productset(a: FpSet, b: FpSet, fld=None) -> FpSet:
             else:
                 acc |= ((idx_big << k) | (idx_big >> (n - k))) & mask
         exp = fld.exp
-        for k in bit_elements(acc):
-            out |= 1 << exp[k]
+        out |= bits_from([exp[k] for k in bit_elements(acc)], p)
     else:
         big_elems = bit_elements(big)
         for x in bit_elements(small):
@@ -186,9 +209,7 @@ def affine(a: FpSet, lam: int, mu: int) -> FpSet:
         return FpSet(p, 1 << mu)
     if lam == 1:
         return a.translate(mu)
-    bits = 0
-    for x in bit_elements(a.bits):
-        bits |= 1 << (lam * x % p)
+    bits = bits_from([lam * x % p for x in bit_elements(a.bits)], p)
     return FpSet(p, cyclic_shift(bits, mu, p))
 
 

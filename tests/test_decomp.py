@@ -89,6 +89,19 @@ def test_packing_examples():
     assert r.witnesses[0][0] == fpset(11, 1) and r.witnesses[0][1] == fpset(11, 0)
 
 
+def test_packing_with_no_admissible_pair_reports_no_witness():
+    # No pair A, B with min(#A, #B) >= 3 fits when #B <= 2: the search covers
+    # the whole space and must say so instead of claiming a find.
+    s = qr(13)
+    query = DecompQuery(S=s, mode="packing", min_size=3, b_size_cap=2, subgroup_d=2)
+    r = run_query(query)
+    assert r.status == "exhausted_none" and not r.witnesses
+    assert r.extras["product"] == 0
+    r = run_query(DecompQuery(S=s, mode="packing", min_size=3, b_size_cap=2,
+                              subgroup_d=2, node_budget=1))
+    assert r.status == "budget_exceeded" and not r.witnesses
+
+
 def test_engine_matches_bruteforce_on_random_targets():
     rng = random.Random(99)
     for _ in range(40):

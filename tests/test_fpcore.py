@@ -1,4 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +173,85 @@ def test_cache_env_override(tmp_path, monkeypatch):
     make_field(p)
     assert (tmp_path / f"field_{p}.bin").exists()
     fpcore._FIELD_CACHE.pop(p, None)
+
+
+def _power_walk(p, g):
+    """dlog and exp tables by stepping through the powers of g one at a time."""
+    dlog, exp = [-1] * p, [0] * (p - 1)
+    cur = 1
+    for k in range(p - 1):
+        dlog[cur], exp[k] = k, cur
+        cur = cur * g % p
+    return dlog, exp
+
+
+@pytest.mark.parametrize("p", [3, 5, 101, 1048573])
+def test_cache_roundtrip_matches_cold_build_byte_for_byte(tmp_path, p):
+    built = fpcore._build_field(p)
+    dlog, exp = _power_walk(p, smallest_primitive_root(p))
+    assert (built.g, built.dlog, built.exp) == (smallest_primitive_root(p), dlog, exp)
+    fpcore._write_cache(built, tmp_path)
+    raw = (tmp_path / f"field_{p}.bin").read_bytes()
+    assert raw == struct.pack(f"<BQQ{p - 1}I", 1, p, built.g, *dlog[1:])
+    loaded = fpcore._read_cache(p, tmp_path)
+    assert (loaded.p, loaded.g, loaded.dlog, loaded.exp) == (p, built.g, dlog, exp)
+    assert list(tmp_path.iterdir()) == [tmp_path / f"field_{p}.bin"]
+
+
+def test_subgroup_of_large_field_against_powers(tmp_path):
+    p, d = 1048573, 7182
+    fld = make_field(p, cache_dir=tmp_path)
+    assert set(subgroup(fld, d).elements) == {pow(x, d, p) for x in range(1, p)}
+    fpcore._FIELD_CACHE.pop(p, None)
+
+
+def test_field_and_subgroup_memo():
+    fld = make_field(13)
+    assert make_field(13) is fld
+    assert subgroup(fld, 3) is subgroup(fld, 3)
+    assert subgroup(fld, 3) is not subgroup(fld, 4)
+    for _ in range(2):  # a bad index is rejected on every call, never remembered
+        with pytest.raises(BadIndex):
+            subgroup(fld, 5)
+        with pytest.raises(BadIndex):
+            subgroup(fld, 0)
+    subgroup(fld, 2)
+    with pytest.raises(TypeError):
+        subgroup(fld, 2.0)
+
+
+def test_make_field_rejects_float_after_memo():
+    make_field(5)
+    assert 5 in fpcore._FIELD_CACHE
+    with pytest.raises(TypeError):
+        make_field(5.0)
+
+
+_WRITER = """
+import sys, time
+from pathlib import Path
+from ffdecomp import fpcore
+p, directory, start = int(sys.argv[1]), Path(sys.argv[2]), float(sys.argv[3])
+fld = fpcore._build_field(p)
+while time.time() < start:
+    time.sleep(0.001)
+while time.time() < start + 0.5:
+    fpcore._write_cache(fld, directory)
+"""
+
+
+def test_two_processes_write_one_cache_file(tmp_path):
+    p = 1009
+    src = str(Path(fpcore.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = str(time.time() + 1.0)
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(p), str(tmp_path), start],
+                         env=env, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    errors = [w.communicate(timeout=60)[1] for w in writers]
+    assert [w.returncode for w in writers] == [0, 0], errors
+    loaded = fpcore._read_cache(p, tmp_path)
+    assert loaded is not None and loaded.dlog == fpcore._build_field(p).dlog
+    assert not list(tmp_path.glob("*.tmp"))

@@ -4,10 +4,12 @@ from hypothesis import strategies as st
 
 from conftest import naive_affine, naive_productset, naive_sumset
 from ffdecomp.errors import DuplicateShift, MixedModulus
-from ffdecomp.fpcore import make_field
+from ffdecomp.fpcore import make_field, primes_up_to
 from ffdecomp.setalg import (
     FpSet,
     affine,
+    bit_elements,
+    bits_from,
     format_set,
     growth_product,
     intersect_shifts,
@@ -183,3 +185,68 @@ def test_literal_roundtrip():
     for bad in ("7", "x:{1}", "7:{a}", "7:[1]"):
         with pytest.raises(ValueError):
             parse_set(bad)
+
+
+def _scan_one_bit_at_a_time(bits):
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _or_one_bit_at_a_time(positions):
+    bits = 0
+    for x in positions:
+        bits |= 1 << x
+    return bits
+
+
+@st.composite
+def bit_vectors(draw):
+    """(n, bits): a dense vector of up to 4096 bits, or a sparse one of up to 2**20."""
+    n = draw(st.integers(1, 1 << 20))
+    if n <= 4096 and draw(st.booleans()):
+        return n, draw(st.integers(0, (1 << n) - 1))
+    positions = draw(st.lists(st.integers(0, n - 1), max_size=64))
+    return n, _or_one_bit_at_a_time(positions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bit_vectors())
+def test_bit_helpers_match_one_bit_loops(vector):
+    n, bits = vector
+    positions = _scan_one_bit_at_a_time(bits)
+    assert bit_elements(bits) == positions
+    assert bits_from(positions, n) == bits
+    assert bits_from(positions + positions[::-1], n) == bits  # repeats are harmless
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 1048573, 1 << 20])
+def test_bit_helpers_on_empty_top_and_full_vectors(n):
+    full = (1 << n) - 1
+    assert bit_elements(0) == [] and bits_from([], n) == 0
+    assert bit_elements(1 << (n - 1)) == [n - 1]
+    assert bits_from([n - 1], n) == 1 << (n - 1)
+    assert bit_elements(full) == list(range(n))
+    assert bits_from(range(n), n) == full
+    if n <= 129:
+        assert _scan_one_bit_at_a_time(full) == list(range(n))
+        assert _or_one_bit_at_a_time(range(n)) == full
+
+
+def test_productset_dlog_path_matches_schoolbook_for_every_small_prime():
+    import random
+
+    rng = random.Random(61)
+    for p in primes_up_to(61):
+        if p < 3:
+            continue
+        fld = make_field(p)
+        mask = (1 << p) - 1
+        for density in (0.05, 0.3, 0.7, 1.0):
+            for _ in range(6):
+                a = FpSet(p, sum(1 << x for x in range(p) if rng.random() < density))
+                b = FpSet(p, rng.getrandbits(p) & mask)
+                assert productset(a, b, fld) == productset(a, b), (p, a, b)
