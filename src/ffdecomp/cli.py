@@ -366,14 +366,16 @@ def _subgroup_grid(cfg: dict, d_filter: str, **extra) -> list[dict]:
     ]
 
 
-def _p_max(cfg: dict) -> int:
-    """Largest usable prime of p_range; seeded generators draw from 5..p_max."""
-    return _config_primes(cfg)[-1]
+def _p_bounds(cfg: dict) -> dict:
+    """Smallest and largest usable prime of p_range; seeded generators draw
+    the primes from max(5, p_min) to p_max."""
+    primes = _config_primes(cfg)
+    return {"p_min": primes[0], "p_max": primes[-1]}
 
 
 def _seeded(cfg: dict, seed: int) -> dict:
-    """The count, seed and p_max arguments of a seeded instance generator."""
-    return {"count": cfg.get("samples", 100), "seed": seed, "p_max": _p_max(cfg)}
+    """The count, seed and prime-range arguments of a seeded instance generator."""
+    return {"count": cfg.get("samples", 100), "seed": seed, **_p_bounds(cfg)}
 
 
 class Experiment(NamedTuple):
@@ -435,7 +437,7 @@ EXPERIMENTS = {
         _shkvyu_from_args,
         lambda cfg, seed: experiments.shkvyu_instances(
             seed,
-            p_max=_p_max(cfg),
+            **_p_bounds(cfg),
             order_cap=cfg.get("g_max", 30),
             ms=tuple(cfg.get("m", [2, 3])),
             samples=cfg.get("samples", 100),

@@ -11,6 +11,13 @@ For subgroup targets the whole configuration can be multiplied by any
 subgroup element, so the first nonzero element of B is restricted to the
 minimum of its multiplicative coset; this is a pure symmetry quotient and
 discards no decomposition class.
+
+Budget: a node is one candidate examined, counting the first element of
+each partition (and, for decomposition and packing, the root B = {0}).
+When the count reaches node_budget the search stops with nodes_explored
+equal to node_budget: a search that needs N nodes stops under any budget
+up to N and runs unchanged under N + 1.  Decomposition and packing charge
+all candidates of a node at once, after the node's prunes.
 """
 
 from __future__ import annotations
@@ -161,12 +168,16 @@ class _Ctx:
         self.budget_hit = False
         self.witnesses = []
 
-    def tick(self):
-        self.nodes += 1
+    def tick(self, n=1):
+        """Charge n examined candidates; stop exactly on the node budget, and
+        on the deadline, checked whenever the count crosses a multiple of 2048."""
+        before = self.nodes
+        self.nodes = before + n
         if self.nodes >= self.node_budget:
+            self.nodes = self.node_budget
             self.budget_hit = True
             raise _Stop
-        if self.nodes & 2047 == 0 and time.monotonic() > self.deadline:
+        if before >> 11 != self.nodes >> 11 and time.monotonic() > self.deadline:
             self.budget_hit = True
             raise _Stop
 
@@ -193,7 +204,8 @@ def _emit_pair(ctx, a_bits, b_list, require_equal):
     ctx.witnesses.append(pair)
 
 
-def _dfs(ctx, b_list, a_bits, a_size, cands):
+def _dfs(ctx, b_list, a_bits, a_size, cands, start):
+    """Extend B by the candidates cands[start:], which share the parent's list."""
     nb = len(b_list)
     if nb > a_size or nb > ctx.cap:
         return
@@ -211,26 +223,32 @@ def _dfs(ctx, b_list, a_bits, a_size, cands):
                 _emit_pair(ctx, a_bits, b_list, require_equal=True)
                 if len(ctx.witnesses) >= ctx.max_wit:
                     raise _Done
-    if not cands:
+    n = len(cands) - start
+    if n <= 0:
         return
-    bound_b = min(nb + len(cands), a_size, ctx.cap)
+    bound_b = min(nb + n, a_size, ctx.cap)
     if bound_b < ms or a_size * bound_b <= ctx.floor:
         return
+    # Every candidate is examined below and the loop has no other effect,
+    # so charging them in one go stops the budget on the same count.
+    ctx.tick(n)
     trans = ctx.trans
+    need = max(ms, nb + 1)
     kept = []
-    need = nb + 1
-    for c in cands:
-        ctx.tick()
+    kept_bits = []
+    sizes = []
+    for c in cands[start:]:
         child = a_bits & trans[c]
         t = child.bit_count()
-        if t < ms or t < need:
-            continue
-        kept.append((c, child, t))
+        if t >= need:
+            kept.append(c)
+            kept_bits.append(child)
+            sizes.append(t)
     if not kept:
         return
-    ts = sorted((t for _, _, t in kept), reverse=True)
+    sizes_desc = sorted(sizes, reverse=True)
     feasible = False
-    for j, tj in enumerate(ts, start=1):
+    for j, tj in enumerate(sizes_desc, start=1):
         size_b = nb + j
         if size_b > tj or size_b > ctx.cap:
             break
@@ -239,9 +257,8 @@ def _dfs(ctx, b_list, a_bits, a_size, cands):
             break
     if not feasible:
         return
-    for i, (c, child, t) in enumerate(kept):
-        tail = [kept[x][0] for x in range(i + 1, len(kept))]
-        _dfs(ctx, b_list + [c], child, t, tail)
+    for i, c in enumerate(kept):
+        _dfs(ctx, b_list + [c], kept_bits[i], sizes[i], kept, i + 1)
 
 
 def _dfs_self(ctx, a_list, a_bits, sum_bits, cands):
@@ -355,7 +372,7 @@ def _run_partition(payload: dict) -> dict:
             a_bits = ctx.s_bits & ctx.trans[first]
             t = a_bits.bit_count()
             if t >= max(ctx.min_size, 2):
-                _dfs(ctx, [0, first], a_bits, t, payload["cands"])
+                _dfs(ctx, [0, first], a_bits, t, payload["cands"], 0)
     except (_Stop, _Done):
         pass
     return {

@@ -488,8 +488,13 @@ def _random_d(rng: random.Random, p: int, at_least: int = 2) -> int:
     return options[rng.randrange(len(options))]
 
 
-def vinogradov_instances(count: int, seed: int, p_max: int = 499):
-    primes = [p for p in primes_up_to(p_max) if p >= 5]
+def _prime_pool(p_min: int, p_max: int) -> list[int]:
+    """The primes a seeded generator draws from: max(5, p_min) <= p <= p_max."""
+    return [p for p in primes_up_to(p_max) if p >= max(5, p_min)]
+
+
+def vinogradov_instances(count: int, seed: int, p_max: int = 499, *, p_min: int = 5):
+    primes = _prime_pool(p_min, p_max)
     for i in range(count):
         rng = _rng(seed, "vinogradov", i)
         p = _random_prime(rng, primes)
@@ -505,8 +510,10 @@ def vinogradov_instances(count: int, seed: int, p_max: int = 499):
         }
 
 
-def weil_instances(count: int, seed: int, p_max: int = 997, deg_max: int = 6):
-    primes = [p for p in primes_up_to(p_max) if p >= 5]
+def weil_instances(
+    count: int, seed: int, p_max: int = 997, deg_max: int = 6, *, p_min: int = 5
+):
+    primes = _prime_pool(p_min, p_max)
     for i in range(count):
         rng = _rng(seed, "weil", i)
         p = _random_prime(rng, primes)
@@ -521,10 +528,10 @@ def weil_instances(count: int, seed: int, p_max: int = 997, deg_max: int = 6):
         yield {"index": i, "p": p, "d": d, "j": j, "poly": coeffs}
 
 
-def wsum_instances(count: int, seed: int, p_max: int = 199, b_max: int = 6):
+def wsum_instances(count: int, seed: int, p_max: int = 199, b_max: int = 6, *, p_min: int = 5):
     """W-identity instances; B is drawn outside G_d so the main-term/
     remainder split is an exact identity (see w_identity_report)."""
-    primes = [p for p in primes_up_to(p_max) if p >= 5]
+    primes = _prime_pool(p_min, p_max)
     for i in range(count):
         rng = _rng(seed, "wsum", i)
         p = _random_prime(rng, primes)
@@ -535,8 +542,8 @@ def wsum_instances(count: int, seed: int, p_max: int = 199, b_max: int = 6):
         yield {"index": i, "p": p, "d": d, "B": b}
 
 
-def nsum_instances(count: int, seed: int, p_max: int = 199, b_max: int = 6):
-    primes = [p for p in primes_up_to(p_max) if p >= 5]
+def nsum_instances(count: int, seed: int, p_max: int = 199, b_max: int = 6, *, p_min: int = 5):
+    primes = _prime_pool(p_min, p_max)
     for i in range(count):
         rng = _rng(seed, "nsum", i)
         p = _random_prime(rng, primes)
@@ -550,10 +557,10 @@ def shkvyu_instances(
     order_cap: int = 30,
     ms=(2, 3),
     samples: int = 100,
+    *,
+    p_min: int = 5,
 ):
-    for p in primes_up_to(p_max):
-        if p < 5:
-            continue
+    for p in _prime_pool(p_min, p_max):
         for d in fpcore.divisors(p - 1):
             if d < 2 or (p - 1) // d > order_cap:
                 continue
@@ -574,8 +581,10 @@ def shkvyu_instances(
                     }
 
 
-def bourgain_instances(count: int, seed: int, p_max: int = 61, size_max: int = 6):
-    primes = [p for p in primes_up_to(p_max) if p >= 5]
+def bourgain_instances(
+    count: int, seed: int, p_max: int = 61, size_max: int = 6, *, p_min: int = 5
+):
+    primes = _prime_pool(p_min, p_max)
     for i in range(count):
         rng = _rng(seed, "bourgain", i)
         p = _random_prime(rng, primes)
@@ -587,8 +596,8 @@ def bourgain_instances(count: int, seed: int, p_max: int = 61, size_max: int = 6
         yield {"index": i, "p": p, "A": a, "B": b}
 
 
-def interval_instances(count: int, seed: int, p_max: int = 101):
-    primes = [p for p in primes_up_to(p_max) if p >= 5]
+def interval_instances(count: int, seed: int, p_max: int = 101, *, p_min: int = 5):
+    primes = _prime_pool(p_min, p_max)
     for i in range(count):
         rng = _rng(seed, "interval", i)
         p = _random_prime(rng, primes)

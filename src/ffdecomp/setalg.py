@@ -244,18 +244,22 @@ def intersect_shifts(g: FpSet, shifts) -> FpSet:
 
 
 def growth_product(a: FpSet, b: int) -> FpSet:
-    """A(A + b) = {x * (y + b) mod p}.
+    """A(A + b) = {x * (y + b) mod p}, for an odd prime p < 2**20.
 
-    For b != 0 the result is also computed through the conjugation identity
+    Both product sets are taken in discrete-log space.  For b != 0 the
+    result is also computed through the conjugation identity
     A(A+b) = b^2 * (b^{-1}A)(b^{-1}A + 1) and the two must agree exactly.
     """
+    from .fpcore import make_field
+
     p = a.p
+    fld = make_field(p)
     b %= p
-    direct = productset(a, a.translate(b))
+    direct = productset(a, a.translate(b), fld)
     if b != 0 and a.bits:
         binv = pow(b, -1, p)
         scaled = affine(a, binv, 0)
-        conj = affine(productset(scaled, scaled.translate(1)), b * b % p, 0)
+        conj = affine(productset(scaled, scaled.translate(1), fld), b * b % p, 0)
         if direct != conj:
             raise AssertionError(f"conjugation identity violated at p={p}, b={b}")
     return direct

@@ -178,6 +178,17 @@ def test_sweep_small_config(tmp_path, capsys):
     assert [r["payload"]["instance"]["index"] for r in records] == list(range(5))
 
 
+def test_seeded_sweeps_draw_only_primes_in_range(tmp_path, capsys):
+    for experiment, extra in (("vinogradov", {"samples": 40}), ("shkvyu", {"samples": 2})):
+        cfg = tmp_path / f"{experiment}.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "p_range": [100, 200], **extra}))
+        code, records = run_records(["sweep", "--config", str(cfg), "--stable"], capsys)
+        assert code == EXIT_OK
+        primes = {r["payload"]["instance"]["p"] for r in records}
+        assert primes and all(100 <= p <= 200 for p in primes), (experiment, sorted(primes))
+        assert len(primes) > 1
+
+
 def test_sweep_expectation_failure(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     # G_3(13) decomposes, so expecting exhausted_none across this grid fails

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     naive_sumset,
@@ -214,3 +216,81 @@ def test_report_serialization():
     assert d["type"] == "decomp" and d["status"] == "found"
     assert d["witnesses"] == [{"A": [1, 4], "B": [0, 1]}]
     assert isinstance(d["nodes_explored"], int) and d["elapsed"] >= 0
+
+
+def _budget_cases():
+    """Small serial searches of every mode: (query fields, unlimited report)."""
+    s13 = fpset(13, 1, 2, 4, 5, 6, 7, 9, 12)
+    s17 = fpset(17, 1, 2, 4, 5, 6, 7, 10, 12, 14, 15, 16)
+    cases = [
+        dict(S=qr(41), mode="decomposition", subgroup_d=2),
+        dict(S=qr(37), mode="packing", min_size=1, subgroup_d=2),
+        dict(S=qr(41), mode="self_decomposition", subgroup_d=2),
+        dict(S=s13, mode="decomposition", max_witnesses=3),
+        dict(S=s13, mode="packing", min_size=1),
+        dict(S=s13, mode="self_decomposition", max_witnesses=2),
+        dict(S=s17, mode="decomposition", max_witnesses=3),
+        dict(S=s17, mode="packing", min_size=1),
+        dict(S=s17, mode="self_decomposition"),
+    ]
+    return [(fields, run_query(DecompQuery(**fields))) for fields in cases]
+
+
+def test_budget_stop_lands_exactly_on_the_budget():
+    # A node is one candidate examined.  Every budget up to the unlimited
+    # count N must stop the search on exactly that many nodes; from N + 1 on
+    # the search must not notice the budget at all.
+    for fields, full in _budget_cases():
+        n = full.nodes_explored
+        assert full.status != "budget_exceeded", fields
+        for budget in range(1, n + 2):
+            r = run_query(DecompQuery(**fields, node_budget=budget))
+            if budget > n:
+                assert r.status == full.status, (fields, budget)
+                assert r.nodes_explored == n, (fields, budget)
+                assert r.witnesses == full.witnesses, (fields, budget)
+                assert r.extras == full.extras, (fields, budget)
+                continue
+            assert r.nodes_explored == budget, (fields, budget)
+            if fields["mode"] == "packing" or not r.witnesses:
+                assert r.status == "budget_exceeded", (fields, budget)
+            else:
+                # witnesses found before the stop: a prefix of the full list
+                assert r.status == "found", (fields, budget)
+                assert r.witnesses == full.witnesses[: len(r.witnesses)], (fields, budget)
+
+
+def test_qr_151_certificate_node_count():
+    # The exhaustive certificate that the quadratic residues mod 151 have no
+    # decomposition A + B with #A, #B >= 2.  The node count pins the pruning:
+    # a kernel change that cuts more or less of the tree moves it.
+    r = run_query(DecompQuery(S=qr(151), mode="decomposition", subgroup_d=2))
+    assert r.status == "exhausted_none" and not r.witnesses
+    assert r.nodes_explored == 650_035
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_all_modes_match_oracles_on_random_targets(data):
+    p = data.draw(st.sampled_from((5, 7, 11, 13)), label="p")
+    s = FpSet(p, data.draw(st.integers(1, (1 << p) - 1), label="bits"))
+    members = set(s)
+
+    r = run_query(DecompQuery(S=s, mode="decomposition"))
+    assert r.status in ("found", "exhausted_none")
+    assert (r.status == "found") == oracle_decomposition_exists(s)
+    for a, b in r.witnesses:
+        assert naive_sumset(a, b) == members and min(len(a), len(b)) >= 2
+
+    r = run_query(DecompQuery(S=s, mode="self_decomposition"))
+    assert r.status in ("found", "exhausted_none")
+    assert (r.status == "found") == oracle_self_exists(s)
+    for a, b in r.witnesses:
+        assert a == b and naive_sumset(a, a) == members
+
+    r = run_query(DecompQuery(S=s, mode="packing", min_size=1))
+    assert r.status == "found" and len(r.witnesses) == 1
+    best = oracle_max_packing(s)
+    assert r.extras["product"] == best
+    a, b = r.witnesses[0]
+    assert len(a) * len(b) == best and naive_sumset(a, b) <= members

@@ -250,3 +250,31 @@ def test_productset_dlog_path_matches_schoolbook_for_every_small_prime():
                 a = FpSet(p, sum(1 << x for x in range(p) if rng.random() < density))
                 b = FpSet(p, rng.getrandbits(p) & mask)
                 assert productset(a, b, fld) == productset(a, b), (p, a, b)
+
+
+def test_growth_product_matches_schoolbook_for_every_small_prime_and_shift(monkeypatch):
+    import random
+
+    from ffdecomp import setalg
+
+    # growth_product looks productset up in setalg; this module's own
+    # productset (the reference below) is the unpatched function
+    fields = []
+
+    def spy(a, b, fld=None):
+        fields.append(fld)
+        return productset(a, b, fld)
+
+    monkeypatch.setattr(setalg, "productset", spy)
+    rng = random.Random(1301)
+    for p in primes_up_to(61):
+        if p < 3:
+            continue
+        sets = [FpSet(p, rng.getrandbits(p) & ((1 << p) - 1)) for _ in range(3)]
+        sets.append(FpSet.nonzero(p))
+        for b in range(p):
+            for a in sets:
+                expected = productset(a, a.translate(b), fld=None)
+                assert growth_product(a, b) == expected, (p, b, a)
+    # every product set growth_product took went through the dlog tables
+    assert fields and all(f is not None for f in fields)
