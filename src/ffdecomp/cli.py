@@ -1,9 +1,20 @@
 """Batch command-line front end.
 
-Every invocation writes one JSONL RunRecord per instance to stdout (or
---out) and a human summary to stderr.  Exit codes: 0 all assertions in
-scope passed, 1 an assertable inequality failed, 2 usage error, 3 budget
-exceeded without resolution.
+Every invocation writes one JSONL RunRecord (or CSV row) per instance to
+stdout (or --out) and a human summary to stderr.  Exit codes: 0 all
+assertions in scope passed, 1 an assertable inequality failed or a sweep's
+expect missed, 2 usage error, 3 budget exceeded without resolution.
+
+Records are streamed: each is written and flushed as soon as its instance
+finishes, in grid order for any worker count, and a running tally gives the
+exit code and the summary line.  So:
+
+- a usage or config error is raised before the first record: nothing is
+  written and no --out file is created;
+- an instance that raises FFDecompError, ValueError or TypeError stops the
+  command with exit 2, an "error: ..." line on stderr and no summary line;
+  the records finished before it stay in the output as complete lines;
+- a killed sweep keeps every record written before it was killed.
 
 Records under --stable zero the volatile fields (timestamp, elapsed, node
 counts) so reruns and different worker counts are byte-comparable after
@@ -21,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -65,14 +75,21 @@ _VOLATILE_KEYS = {"elapsed", "nodes_explored", "nodes", "timestamp"}
 
 _CSV_FIELDS = ["command", "experiment", "p", "d", "status", "lhs", "rhs", "ok", "hypothesis_ok"]
 
+# One encoder for every record; json.dumps with options builds a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+_NESTED = (dict, list)
+
 
 def _stabilize(obj):
+    """Zero the volatile keys at any depth of dicts and lists (not tuples)."""
     if isinstance(obj, dict):
         return {
-            k: (0 if k in _VOLATILE_KEYS else _stabilize(v)) for k, v in obj.items()
+            k: 0 if k in _VOLATILE_KEYS else _stabilize(v) if isinstance(v, _NESTED) else v
+            for k, v in obj.items()
         }
     if isinstance(obj, list):
-        return [_stabilize(v) for v in obj]
+        return [_stabilize(v) if isinstance(v, _NESTED) else v for v in obj]
     return obj
 
 
@@ -120,59 +137,84 @@ def parse_target(text: str, p: int | None):
     raise ValueError(f"unknown set family {text!r}")
 
 
-def _emit(records, args) -> None:
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        for rec in records:
-            payload = rec["payload"]
-            row = {
-                "command": rec["command"],
-                "experiment": payload.get("experiment", payload.get("type", "")),
-                "p": payload.get("instance", {}).get("p", ""),
-                "d": payload.get("instance", {}).get("d", ""),
-                "status": payload.get("status", payload.get("extras", {}).get("status", "")),
-                "lhs": payload.get("lhs", ""),
-                "rhs": payload.get("rhs", ""),
-                "ok": payload.get("ok", ""),
-                "hypothesis_ok": payload.get("hypothesis_ok", ""),
-            }
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
-        text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _csv_row(rec: dict) -> dict:
+    payload = rec["payload"]
+    return {
+        "command": rec["command"],
+        "experiment": payload.get("experiment", payload.get("type", "")),
+        "p": payload.get("instance", {}).get("p", ""),
+        "d": payload.get("instance", {}).get("d", ""),
+        "status": payload.get("status", payload.get("extras", {}).get("status", "")),
+        "lhs": payload.get("lhs", ""),
+        "rhs": payload.get("rhs", ""),
+        "ok": payload.get("ok", ""),
+        "hypothesis_ok": payload.get("hypothesis_ok", ""),
+    }
+
+
+class _Tally:
+    """Running counts over the records written so far: the exit code and the
+    stderr summary line.  expect is a sweep's expected status, if any."""
+
+    def __init__(self, expect=None):
+        self.expect = expect
+        self.records = self.oks = self.fails = self.budget = self.missed = 0
+
+    def add(self, payload: dict) -> None:
+        self.records += 1
+        ok = payload.get("ok")
+        if ok is True:
+            self.oks += 1
+        elif ok is False:
+            self.fails += 1
+        status = payload.get("status") or payload.get("extras", {}).get("status")
+        if status == "budget_exceeded":
+            self.budget += 1
+        # a status key that is present but empty is compared as it is
+        if self.expect and payload.get("status", status) != self.expect:
+            self.missed += 1
+
+    def code(self) -> int:
+        if self.fails or self.missed:
+            return EXIT_FAIL
+        if self.budget:
+            return EXIT_BUDGET
+        return EXIT_OK
+
+    def summary(self) -> str:
+        return f"records={self.records} ok={self.oks} fail={self.fails} exit={self.code()}"
 
 
 def _exit_code(records, expectations_failed: int = 0) -> int:
-    failed = expectations_failed
-    budget = 0
+    """The exit code of a finished list of records."""
+    tally = _Tally()
+    tally.missed = expectations_failed
     for rec in records:
-        payload = rec["payload"]
-        if payload.get("ok") is False:
-            failed += 1
-        status = payload.get("status") or payload.get("extras", {}).get("status")
-        if status == "budget_exceeded":
-            budget += 1
-    if failed:
-        return EXIT_FAIL
-    if budget:
-        return EXIT_BUDGET
-    return EXIT_OK
+        tally.add(rec["payload"])
+    return tally.code()
 
 
-def _summarize(records, code: int) -> None:
-    oks = sum(1 for r in records if r["payload"].get("ok") is True)
-    fails = sum(1 for r in records if r["payload"].get("ok") is False)
-    print(
-        f"records={len(records)} ok={oks} fail={fails} exit={code}",
-        file=sys.stderr,
-    )
+def _write(records: Iterable[dict], args, tally: _Tally) -> None:
+    """Write each record as one JSONL line or CSV row, flush it and count it.
+    The --out file is opened at the first record, so a command that stops
+    before its first record leaves no file."""
+    out = rows = None
+    try:
+        for rec in records:
+            if out is None:
+                out = open(args.out, "w") if args.out else sys.stdout
+                if args.format == "csv":
+                    rows = csv.DictWriter(out, fieldnames=_CSV_FIELDS, extrasaction="ignore")
+                    rows.writeheader()
+            if rows is None:
+                out.write(_ENCODER.encode(rec) + "\n")
+            else:
+                rows.writerow(_csv_row(rec))
+            out.flush()
+            tally.add(rec["payload"])
+    finally:
+        if out is not None and args.out:
+            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +570,9 @@ def _config_primes(cfg: dict) -> list[int]:
 
 
 def _cmd_sweep(args):
+    """Check the config and expand its grid, raising any config error before
+    the first instance runs; return (seed, expect, payloads), where payloads
+    yields each instance's payload in grid order as it finishes."""
     _require(args, "config")
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
@@ -537,20 +582,20 @@ def _cmd_sweep(args):
     tasks = [(name, inst) for inst in EXPERIMENTS[name].sweep(cfg, seed)]
     if not tasks:
         raise ConfigError("sweep expanded to an empty grid")
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            chunk = max(1, len(tasks) // (args.workers * 8))
-            payloads = list(pool.map(_run_task, tasks, chunksize=chunk))
-    else:
-        payloads = [_run_task(t) for t in tasks]
-    expect = cfg.get("expect")
-    expectations_failed = 0
-    if expect:
-        for payload in payloads:
-            if payload.get("status", payload.get("extras", {}).get("status")) != expect:
-                expectations_failed += 1
-    records = [make_record("sweep", seed, payload, args.stable) for payload in payloads]
-    return records, expectations_failed
+    return seed, cfg.get("expect"), _sweep_payloads(tasks, args.workers)
+
+
+def _sweep_payloads(tasks: list, workers: int):
+    if workers <= 1:
+        yield from map(_run_task, tasks)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        chunk = max(1, len(tasks) // (workers * 8))
+        yield from pool.map(_run_task, tasks, chunksize=chunk)
+    finally:
+        # a stream stopped early (an instance raised) drops the queued chunks
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -608,20 +653,21 @@ def run(argv) -> int:
         os.environ["FFDECOMP_CACHE_DIR"] = args.cache_dir
     try:
         if args.command == "sweep":
-            records, expectations_failed = _cmd_sweep(args)
+            seed, expect, payloads = _cmd_sweep(args)
         else:
+            # a single-op command is a stream of one record
             experiment = EXPERIMENTS[args.command]
             _require(args, *experiment.requires)
-            payload = experiment.run(experiment.from_args(args))
-            records = [make_record(args.command, args.seed, payload, args.stable)]
-            expectations_failed = 0
+            seed, expect = args.seed, None
+            payloads = [experiment.run(experiment.from_args(args))]
+        tally = _Tally(expect)
+        records = (make_record(args.command, seed, p, args.stable) for p in payloads)
+        _write(records, args, tally)
     except (FFDecompError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(records, args)
-    code = _exit_code(records, expectations_failed)
-    _summarize(records, code)
-    return code
+    print(tally.summary(), file=sys.stderr)
+    return tally.code()
 
 
 def main() -> None:

@@ -497,6 +497,9 @@ def _drive(query, allowed, witnesses, nodes, started, floor, workers: int = 1):
             payload["node_budget"] = remaining
             if packing:
                 payload["floor"] = best
+            else:
+                # stop the partition once the query's open quota is met
+                payload["max_wit"] = query.max_witnesses - len(witnesses)
             if merge(_run_partition(payload)):
                 break
     else:

@@ -9,8 +9,25 @@ from typing import Any
 from .setalg import FpSet
 
 
+_PLAIN = frozenset((int, float, str, bool, type(None)))
+
+
 def json_ready(obj: Any) -> Any:
-    """Recursively convert report values to plain JSON-serializable types."""
+    """Recursively convert report values to plain JSON-serializable types.
+
+    Exact plain types are dispatched first: scalars come back as they are
+    and plain containers are walked without calling back for their scalar
+    members.  Every other value, subclasses included, takes the isinstance
+    chain below."""
+    kind = type(obj)
+    if kind in _PLAIN:
+        return obj
+    if kind is dict:
+        return {
+            str(k): v if type(v) in _PLAIN else json_ready(v) for k, v in obj.items()
+        }
+    if kind is list or kind is tuple:
+        return [v if type(v) in _PLAIN else json_ready(v) for v in obj]
     if isinstance(obj, FpSet):
         return obj.elements()
     if isinstance(obj, Fraction):

@@ -1,7 +1,15 @@
+import csv
+import io
 import json
+import multiprocessing
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ffdecomp import cli, decomp, reports
 from ffdecomp.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -13,6 +21,8 @@ from ffdecomp.cli import (
     parse_target,
     run,
 )
+from ffdecomp.errors import FFDecompError
+from ffdecomp.reports import json_ready
 from ffdecomp.setalg import FpSet, format_set
 
 
@@ -333,3 +343,240 @@ def test_sweep_matches_single_op_for_every_experiment(tmp_path, capsys):
             assert all(ix == list(range(len(ix))) for ix in groups.values())
         elif name in SEEDED:
             assert [ix for *_, ix in indices] == list(range(len(records))), name
+
+
+def test_usage_and_config_errors_create_no_out_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"experiment": "vinogradov", "p_range": [8, 9]}))
+    cases = [
+        ["sweep", "--config", str(bad)],
+        ["sweep", "--config", str(tmp_path / "nope.json")],
+        ["search", "--set", "qr", "--prime", "6"],
+        ["shkvyu", "--prime", "61", "--d", "15", "--m", "3", "--shifts", "1,2"],
+    ]
+    for i, argv in enumerate(cases):
+        out = tmp_path / f"out{i}.jsonl"
+        assert run(argv + ["--out", str(out)]) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert not out.exists(), argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
+
+# ---------------------------------------------------------------------------
+# The record path before records were streamed: collect every payload, then
+# emit them in one string.  It is kept here as a reference and shares no code
+# with cli's writer, reports.json_ready or cli._stabilize.
+
+_ORACLE_VOLATILE = {"elapsed", "nodes_explored", "nodes", "timestamp"}
+
+
+def oracle_json_ready(obj):
+    if isinstance(obj, FpSet):
+        return obj.elements()
+    if isinstance(obj, Fraction):
+        return float(obj)
+    if isinstance(obj, dict):
+        return {str(k): oracle_json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_json_ready(v) for v in obj]
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, (int, float, str)):
+        return obj
+    if hasattr(obj, "item"):
+        return obj.item()
+    return str(obj)
+
+
+def oracle_stabilize(obj):
+    if isinstance(obj, dict):
+        return {k: (0 if k in _ORACLE_VOLATILE else oracle_stabilize(v)) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [oracle_stabilize(v) for v in obj]
+    return obj
+
+
+def oracle_emit(command, seed, payloads, fmt) -> str:
+    """The --stable output of these payloads, as the collecting writer made it."""
+    records = [
+        {"schema_version": 1, "command": command, "timestamp": 0, "seed": seed,
+         "payload": oracle_stabilize(payload)}
+        for payload in payloads
+    ]
+    if fmt == "csv":
+        buf = io.StringIO()
+        fields = ["command", "experiment", "p", "d", "status", "lhs", "rhs", "ok", "hypothesis_ok"]
+        writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
+        writer.writeheader()
+        for rec in records:
+            payload = rec["payload"]
+            writer.writerow({
+                "command": rec["command"],
+                "experiment": payload.get("experiment", payload.get("type", "")),
+                "p": payload.get("instance", {}).get("p", ""),
+                "d": payload.get("instance", {}).get("d", ""),
+                "status": payload.get("status", payload.get("extras", {}).get("status", "")),
+                "lhs": payload.get("lhs", ""),
+                "rhs": payload.get("rhs", ""),
+                "ok": payload.get("ok", ""),
+                "hypothesis_ok": payload.get("hypothesis_ok", ""),
+            })
+        return buf.getvalue()
+    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def oracle_payloads(monkeypatch, name, instances):
+    """Run the instances serially, with every report converted by the oracle."""
+    with monkeypatch.context() as patch:
+        for module in (reports, decomp, cli):
+            patch.setattr(module, "json_ready", oracle_json_ready)
+        return [cli._run_task((name, inst)) for inst in instances]
+
+
+def test_sweep_bytes_match_the_collecting_writer(tmp_path, capsys, monkeypatch):
+    assert set(SWEEP_CONFIGS) == set(cli.EXPERIMENTS)
+    seed = 1
+    for name, extra in SWEEP_CONFIGS.items():
+        config = {"experiment": name, **extra}
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        payloads = oracle_payloads(monkeypatch, name, cli.EXPERIMENTS[name].sweep(config, seed))
+        argv = ["sweep", "--config", str(cfg), "--stable", "--seed", str(seed)]
+        oks = sum(1 for payload in payloads if payload.get("ok") is True)
+        fails = sum(1 for payload in payloads if payload.get("ok") is False)
+        summary = f"records={len(payloads)} ok={oks} fail={fails} exit=0\n"
+        for fmt in ("jsonl", "csv"):
+            want = oracle_emit("sweep", seed, payloads, fmt)
+            assert run(argv + ["--format", fmt]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.out == want, (name, fmt)
+            assert captured.err == summary, (name, fmt)
+            for workers in ("1", "2"):
+                out = tmp_path / f"{name}.{workers}.{fmt}"
+                assert run(argv + ["--format", fmt, "--out", str(out), "--workers", workers]) == EXIT_OK
+                assert capsys.readouterr().err == summary, (name, fmt, workers)
+                assert out.read_bytes() == want.encode(), (name, fmt, workers)
+        csv_lines = out.read_bytes().splitlines(keepends=True)
+        assert len(csv_lines) == len(payloads) + 1
+        assert all(line.endswith(b"\r\n") for line in csv_lines)
+
+
+def test_single_op_bytes_match_the_collecting_writer(capsys, monkeypatch):
+    cases = [
+        ["search", "--set", "qr", "--prime", "7"],
+        ["search", "--set", "7:{1,2,4,5}", "--prime", "7"],
+        ["search", "--set", "qr", "--prime", "31", "--node-budget", "5"],
+        ["search", "--set", "qr", "--prime", "13", "--mode", "self"],
+        ["shkvyu", "--prime", "61", "--d", "15", "--m", "2", "--shifts", "1,2"],
+        ["weil", "--prime", "7", "--d", "2", "--poly", "0,1,1"],
+        ["vinogradov", "--prime", "7", "--d", "2", "--set", "7:{1,2}", "--set", "7:{3,4}"],
+        ["karatsuba", "--prime", "7", "--d", "2", "--set", "7:{1,2}", "--set", "7:{3,4}", "--nu", "1"],
+        ["karatsuba", "--prime", "13", "--d", "3"],
+        ["wsum", "--prime", "7", "--d", "2", "--set", "7:{3,5}"],
+        ["nsum", "--prime", "7", "--d", "2", "--set", "7:{3}"],
+        ["growth", "--prime", "13", "--d", "3"],
+        ["interval", "--prime", "7", "--set", "interval:0,6", "--set", "7:{1,6}", "--set", "7:{1,2,3}"],
+        ["bourgain", "--prime", "31", "--set", "31:{1,2}", "--set", "31:{1,3}"],
+        ["packing", "--prime", "7", "--d", "2"],
+        ["packing", "--prime", "13", "--set", "qr"],
+    ]
+    for argv in cases:
+        args = build_parser().parse_args(argv)
+        experiment = cli.EXPERIMENTS[args.command]
+        payloads = oracle_payloads(monkeypatch, args.command, [experiment.from_args(args)])
+        for fmt in ("jsonl", "csv"):
+            code = run(argv + ["--stable", "--seed", "4", "--format", fmt])
+            assert capsys.readouterr().out == oracle_emit(args.command, 4, payloads, fmt), (argv, fmt)
+            assert code == _exit_code([{"payload": payloads[0]}]), argv
+
+
+@pytest.mark.parametrize(
+    "error, k, workers",
+    [(ValueError, 3, "1"), (TypeError, 1, "1"), (FFDecompError, 4, "1"), (ValueError, 3, "2")],
+)
+def test_sweep_error_keeps_the_finished_records(tmp_path, capsys, monkeypatch, error, k, workers):
+    if workers != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched runner reaches worker processes only by fork")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "vinogradov", "p_range": [5, 61], "samples": 6}))
+    argv = ["sweep", "--config", str(cfg), "--stable", "--workers", workers]
+    assert run(argv) == EXIT_OK
+    complete = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(complete) == 6
+
+    real = cli.EXPERIMENTS["vinogradov"]
+
+    def run_or_raise(inst):
+        if inst["index"] == k - 1:  # the k-th instance of the grid
+            raise error(f"instance {k} failed")
+        return real.run(inst)
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "vinogradov", real._replace(run=run_or_raise))
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: instance {k} failed\n"  # and no summary line
+    assert captured.out.splitlines(keepends=True) == complete[: k - 1]
+
+    out = tmp_path / "out.jsonl"
+    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: instance {k} failed\n"
+    if k == 1:
+        assert not out.exists()  # nothing finished, so nothing was opened
+    else:
+        assert out.read_text().splitlines(keepends=True) == complete[: k - 1]
+
+
+class _IntSub(int):
+    pass
+
+
+class _DictSub(dict):
+    pass
+
+
+_LEAVES = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+    st.builds(_IntSub, st.integers()),
+    st.builds(lambda p, bits: FpSet(p, bits % (1 << p)), st.sampled_from([5, 7, 11]), st.integers(0)),
+    st.builds(np.int64, st.integers(-(2**40), 2**40)),
+    st.builds(np.float64, st.floats(allow_nan=False)),
+    st.builds(np.bool_, st.booleans()),
+)
+_KEYS = st.one_of(
+    st.sampled_from(sorted(_ORACLE_VOLATILE) + ["status", "extras", "p"]),
+    st.text(max_size=3),
+    st.integers(-3, 3),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4).map(_DictSub),
+    ),
+    max_leaves=24,
+)
+
+
+def _typed(obj):
+    """obj with the type of every container, key and leaf spelled out."""
+    if isinstance(obj, dict):
+        return (type(obj), [(_typed(k), _typed(v)) for k, v in obj.items()])
+    if isinstance(obj, (list, tuple)):
+        return (type(obj), [_typed(v) for v in obj])
+    return (type(obj), obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+def test_json_ready_and_stabilize_match_the_reference(value):
+    assert _typed(json_ready(value)) == _typed(oracle_json_ready(value))
+    assert _typed(cli._stabilize(value)) == _typed(oracle_stabilize(value))

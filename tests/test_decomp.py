@@ -260,6 +260,26 @@ def test_budget_stop_lands_exactly_on_the_budget():
                 assert r.witnesses == full.witnesses[: len(r.witnesses)], (fields, budget)
 
 
+def test_witness_quota_stops_the_search_at_the_last_witness():
+    # A serial search hands each partition only the quota still open, so it
+    # stops on the node that yields the last witness asked for.  That node is
+    # found independently: the smallest node budget under which an unlimited
+    # search has k witnesses is one more than it.
+    s13 = fpset(13, 1, 2, 4, 5, 6, 7, 9, 12)
+    unlimited = run_query(DecompQuery(S=s13, mode="decomposition", max_witnesses=10**6))
+    first_budget = {}
+    for budget in range(1, unlimited.nodes_explored + 1):
+        r = run_query(DecompQuery(S=s13, mode="decomposition", max_witnesses=10**6, node_budget=budget))
+        first_budget.setdefault(len(r.witnesses), budget)
+    for k in range(1, 5):
+        r = run_query(DecompQuery(S=s13, mode="decomposition", max_witnesses=k))
+        assert r.status == "found", k
+        assert r.witnesses == unlimited.witnesses[:k], k
+        assert r.nodes_explored == first_budget[k] - 1, k
+        if k == 3:
+            assert r.nodes_explored == 36
+
+
 def test_qr_151_certificate_node_count():
     # The exhaustive certificate that the quadratic residues mod 151 have no
     # decomposition A + B with #A, #B >= 2.  The node count pins the pruning:
