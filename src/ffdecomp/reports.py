@@ -15,27 +15,22 @@ _PLAIN = frozenset((int, float, str, bool, type(None)))
 def json_ready(obj: Any) -> Any:
     """Recursively convert report values to plain JSON-serializable types.
 
-    Exact plain types are dispatched first: scalars come back as they are
-    and plain containers are walked without calling back for their scalar
-    members.  Every other value, subclasses included, takes the isinstance
-    chain below."""
-    kind = type(obj)
-    if kind in _PLAIN:
+    Exact plain scalars come back at once, and containers are walked
+    without calling back for their exact plain scalar members.  Containers
+    are checked first: no value is both a container and an FpSet or a
+    Fraction, and for an exact dict or list isinstance is a fast check."""
+    if type(obj) in _PLAIN:
         return obj
-    if kind is dict:
+    if isinstance(obj, dict):
         return {
             str(k): v if type(v) in _PLAIN else json_ready(v) for k, v in obj.items()
         }
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
         return [v if type(v) in _PLAIN else json_ready(v) for v in obj]
     if isinstance(obj, FpSet):
         return obj.elements()
     if isinstance(obj, Fraction):
         return float(obj)
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, (int, float, str)):
