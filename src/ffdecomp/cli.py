@@ -576,6 +576,8 @@ def _cmd_sweep(args):
     _require(args, "config")
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if not isinstance(seed, int):
+        raise ConfigError("config field 'seed' must be an integer")
     name = cfg["experiment"]
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown sweep experiment {name!r}")
@@ -589,9 +591,10 @@ def _sweep_payloads(tasks: list, workers: int):
     if workers <= 1:
         yield from map(_run_task, tasks)
         return
-    pool = ProcessPoolExecutor(max_workers=workers)
+    size = min(workers, len(tasks))
+    pool = ProcessPoolExecutor(max_workers=size)
     try:
-        chunk = max(1, len(tasks) // (workers * 8))
+        chunk = max(1, len(tasks) // (size * 8))
         yield from pool.map(_run_task, tasks, chunksize=chunk)
     finally:
         # a stream stopped early (an instance raised) drops the queued chunks
@@ -619,8 +622,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--min-size", type=int, default=2, dest="min_size")
     common.add_argument("--node-budget", type=int, default=10**8, dest="node_budget")
     common.add_argument("--time-budget", type=float, default=300.0, dest="time_budget")
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes for a sweep's instances or one search's partitions;"
+        " the records do not depend on it",
+    )
+    common.add_argument(
+        "--seed", type=int, help="instance seed (default: the sweep config's \"seed\", else 0)"
+    )
     common.add_argument("--out", help="write records to this file instead of stdout")
     common.add_argument("--cache-dir", dest="cache_dir", help="field table cache directory")
     common.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
@@ -658,7 +669,7 @@ def run(argv) -> int:
             # a single-op command is a stream of one record
             experiment = EXPERIMENTS[args.command]
             _require(args, *experiment.requires)
-            seed, expect = args.seed, None
+            seed, expect = args.seed or 0, None
             payloads = [experiment.run(experiment.from_args(args))]
         tally = _Tally(expect)
         records = (make_record(args.command, seed, p, args.stable) for p in payloads)

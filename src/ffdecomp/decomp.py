@@ -18,18 +18,32 @@ When the count reaches node_budget the search stops with nodes_explored
 equal to node_budget: a search that needs N nodes stops under any budget
 up to N and runs unchanged under N + 1.  Decomposition and packing charge
 all candidates of a node at once, after the node's prunes.
+
+These semantics hold for any worker count.  One _Ctx per search owns the
+node count, witnesses and packing floor, and the partitions (one per first
+element) are searched in order inside it.  With workers > 1 a worker first
+searches each partition from the search's starting state, with the whole
+budget and quota, and returns its node count and its accepted pairs, each
+stamped with the node count at acceptance.  The parent replays them in
+order with tick(stamp - done) and accept, so budget, quota and deadline
+stop it where the serial search stops.  Once a packing floor has risen,
+the later runs started below it: the parent stops the workers and searches
+the remaining partitions itself.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from . import fpcore
 from .errors import EmptyB
 from .reports import json_ready
-from .setalg import FpSet, bit_elements, bits_from, cyclic_shift
+from .setalg import FpSet, bit_elements, cyclic_shift
 
 MODE_DECOMPOSITION = "decomposition"
 MODE_SELF = "self_decomposition"
@@ -119,6 +133,10 @@ class _Done(Exception):
 
 _TRANS_MEMO: dict = {}
 
+# Set when a replay is over.  A pool worker swaps in its parent's
+# multiprocessing.Event (_watch); elsewhere this one is never set.
+_replay_over = threading.Event()
+
 
 def _trans_table(p: int, s_bits: int) -> list[int]:
     """trans[c] = S - c as a bit-vector; memoized so the partitions of one
@@ -133,12 +151,16 @@ def _trans_table(p: int, s_bits: int) -> list[int]:
 
 
 class _Ctx:
+    """One search: its limits, node count, witnesses and floor."""
+
     __slots__ = (
         "p",
         "s_bits",
         "floor",
+        "mode",
         "packing",
         "trans",
+        "domain",
         "min_size",
         "cap",
         "max_wit",
@@ -147,39 +169,65 @@ class _Ctx:
         "nodes",
         "budget_hit",
         "witnesses",
+        "accepted",
     )
 
-    def __init__(
-        self, p, s_bits, floor, packing, min_size, cap, max_wit, node_budget, deadline
-    ):
+    def __init__(self, query, deadline, nodes, witnesses, floor):
+        p = query.S.p
         self.p = p
-        self.s_bits = s_bits
+        self.s_bits = query.S.bits
         # An accepted (A, B) has #A * #B > floor: #S - 1 when deciding
         # S = A + B, the best product so far when packing.
         self.floor = floor
-        self.packing = packing
-        self.trans = _trans_table(p, s_bits)
-        self.min_size = min_size
-        self.cap = cap if cap is not None else p
-        self.max_wit = max_wit
-        self.node_budget = node_budget
+        self.mode = query.mode
+        self.packing = query.mode == MODE_PACKING
+        self.trans = _trans_table(p, self.s_bits)
+        # the candidates in ascending order; partition i starts with domain[i]
+        # and extends by domain[i + 1:]
+        if self.mode == MODE_SELF:
+            # the a with a + a in S: for odd p, S dilated by 2^-1
+            inv2 = pow(2, -1, p)
+            self.domain = sorted(inv2 * s % p for s in bit_elements(self.s_bits))
+        else:
+            self.domain = list(range(1, p))
+        self.min_size = query.min_size
+        self.cap = query.b_size_cap if query.b_size_cap is not None else p
+        self.max_wit = query.max_witnesses
+        self.node_budget = query.node_budget
         self.deadline = deadline
-        self.nodes = 0
+        self.nodes = nodes
         self.budget_hit = False
-        self.witnesses = []
+        self.witnesses = list(witnesses)
+        self.accepted = []  # (node count, A, B) per accepted pair, for replay
 
     def tick(self, n=1):
         """Charge n examined candidates; stop exactly on the node budget, and
-        on the deadline, checked whenever the count crosses a multiple of 2048."""
+        on the deadline or the end of the replay, both checked whenever the
+        count crosses a multiple of 2048."""
         before = self.nodes
         self.nodes = before + n
         if self.nodes >= self.node_budget:
             self.nodes = self.node_budget
             self.budget_hit = True
             raise _Stop
-        if before >> 11 != self.nodes >> 11 and time.monotonic() > self.deadline:
+        if before >> 11 != self.nodes >> 11 and (
+            time.monotonic() > self.deadline or _replay_over.is_set()
+        ):
             self.budget_hit = True
             raise _Stop
+
+    def accept(self, a, b):
+        """Take the verified pair (A, B).  When packing it is the new best and
+        its product the new floor; otherwise it joins the witnesses, and the
+        search stops once the quota is met."""
+        self.accepted.append((self.nodes, a, b))
+        if self.packing:
+            self.floor = len(a) * len(b)
+            self.witnesses = [(a, b)]
+            return
+        self.witnesses.append((a, b))
+        if len(self.witnesses) >= self.max_wit:
+            raise _Done
 
 
 def _naive_sum_bits(a_elems, b_elems, p):
@@ -190,18 +238,15 @@ def _naive_sum_bits(a_elems, b_elems, p):
     return out
 
 
-def _emit_pair(ctx, a_bits, b_list, require_equal):
-    """Re-verify a candidate witness with the schoolbook sumset, then record it."""
-    a_elems = bit_elements(a_bits)
-    check = _naive_sum_bits(a_elems, b_list, ctx.p)
-    if require_equal:
-        if check != ctx.s_bits:
-            raise AssertionError("corrupted witness: sumset does not equal the target")
-    else:
+def _emit_pair(ctx, a_bits, b_list):
+    """Re-verify a candidate witness with the schoolbook sumset, then accept it."""
+    check = _naive_sum_bits(bit_elements(a_bits), b_list, ctx.p)
+    if ctx.packing:
         if check & ~ctx.s_bits:
             raise AssertionError("corrupted witness: sumset leaves the target")
-    pair = (FpSet(ctx.p, a_bits), FpSet.from_elements(ctx.p, b_list))
-    ctx.witnesses.append(pair)
+    elif check != ctx.s_bits:
+        raise AssertionError("corrupted witness: sumset does not equal the target")
+    ctx.accept(FpSet(ctx.p, a_bits), FpSet.from_elements(ctx.p, b_list))
 
 
 def _dfs(ctx, b_list, a_bits, a_size, cands, start):
@@ -212,17 +257,13 @@ def _dfs(ctx, b_list, a_bits, a_size, cands, start):
     ms = ctx.min_size
     if nb >= ms and a_size >= ms and a_size * nb > ctx.floor:
         if ctx.packing:
-            ctx.floor = a_size * nb
-            ctx.witnesses = []
-            _emit_pair(ctx, a_bits, b_list, require_equal=False)
+            _emit_pair(ctx, a_bits, b_list)
         else:
             acc = 0
             for b in b_list:
                 acc |= cyclic_shift(a_bits, b, ctx.p)
             if acc == ctx.s_bits:
-                _emit_pair(ctx, a_bits, b_list, require_equal=True)
-                if len(ctx.witnesses) >= ctx.max_wit:
-                    raise _Done
+                _emit_pair(ctx, a_bits, b_list)
     n = len(cands) - start
     if n <= 0:
         return
@@ -267,9 +308,7 @@ def _dfs_self(ctx, a_list, a_bits, sum_bits, cands):
         if _naive_sum_bits(a_elems, a_elems, ctx.p) != ctx.s_bits:
             raise AssertionError("corrupted witness: A + A does not equal the target")
         a_set = FpSet(ctx.p, a_bits)
-        ctx.witnesses.append((a_set, a_set))
-        if len(ctx.witnesses) >= ctx.max_wit:
-            raise _Done
+        ctx.accept(a_set, a_set)
     if not cands:
         return
     # Everything a descendant can still cover: (A union R) + R.
@@ -318,72 +357,88 @@ def _symmetry_setup(query: DecompQuery) -> list[int] | None:
     return _coset_minimum_firsts(p, d)
 
 
-def _self_domain_bits(s_bits: int, p: int) -> int:
-    """Elements a with a + a in S; for odd p this is the dilation of S by 2^-1."""
-    inv2 = pow(2, -1, p)
-    return bits_from([inv2 * s % p for s in bit_elements(s_bits)], p)
+def _partitions(ctx, allowed_firsts) -> list[int]:
+    """The partitions to search, in order: indices into ctx.domain."""
+    if allowed_firsts is None:
+        return list(range(len(ctx.domain)))
+    allow = set(allowed_firsts)
+    return [i for i, x in enumerate(ctx.domain) if x in allow]
 
 
-def _partition_payloads(query: DecompQuery, allowed_firsts, deadline, floor):
-    """One payload per allowed first element; node_budget is set by the caller."""
-    p = query.S.p
-    if query.mode == MODE_SELF:
-        domain = bit_elements(_self_domain_bits(query.S.bits, p))
-        allow = set(domain if allowed_firsts is None else allowed_firsts)
-        parts = [(a1, [c for c in domain if c > a1]) for a1 in domain if a1 in allow]
-    else:
-        firsts = allowed_firsts if allowed_firsts is not None else list(range(1, p))
-        parts = [(b1, list(range(b1 + 1, p))) for b1 in firsts]
-    base = {
-        "mode": query.mode,
-        "p": p,
-        "s_bits": query.S.bits,
-        "floor": floor,
-        "min_size": query.min_size,
-        "cap": query.b_size_cap,
-        "max_wit": query.max_witnesses,
-        "deadline": deadline,
-    }
-    return [dict(base, first=first, cands=cands) for first, cands in parts]
+def _search(ctx, i):
+    """Explore partition i inside the search's context."""
+    first = ctx.domain[i]
+    ctx.tick()
+    if ctx.mode == MODE_SELF:
+        _dfs_self(ctx, [first], 1 << first, 1 << (2 * first % ctx.p), ctx.domain[i + 1 :])
+        return
+    a_bits = ctx.s_bits & ctx.trans[first]
+    t = a_bits.bit_count()
+    if t >= max(ctx.min_size, 2):
+        _dfs(ctx, [0, first], a_bits, t, ctx.domain, i + 1)
 
 
-def _run_partition(payload: dict) -> dict:
-    """Explore one first-element partition; used directly and via worker pools."""
-    mode = payload["mode"]
-    ctx = _Ctx(
-        payload["p"],
-        payload["s_bits"],
-        payload["floor"],
-        mode == MODE_PACKING,
-        payload["min_size"],
-        payload["cap"],
-        payload["max_wit"],
-        payload["node_budget"],
-        payload["deadline"],
-    )
-    first = payload["first"]
+def _speculate(start, i):
+    """Search partition i from the search's starting state (in a worker).
+    Return the node count, whether a limit cut the run, and every accepted
+    pair stamped with the node count at acceptance."""
+    ctx = _Ctx(*start)
     try:
-        ctx.tick()
-        if mode == MODE_SELF:
-            a_bits = 1 << first
-            sum_bits = 1 << (2 * first % ctx.p)
-            _dfs_self(ctx, [first], a_bits, sum_bits, payload["cands"])
-        else:
-            a_bits = ctx.s_bits & ctx.trans[first]
-            t = a_bits.bit_count()
-            if t >= max(ctx.min_size, 2):
-                _dfs(ctx, [0, first], a_bits, t, payload["cands"], 0)
+        _search(ctx, i)
     except (_Stop, _Done):
         pass
-    return {
-        "witnesses": [(a.bits, b.bits) for a, b in ctx.witnesses],
-        "nodes": ctx.nodes,
-        "budget_hit": ctx.budget_hit,
-        "best": ctx.floor,
-    }
+    return ctx.nodes, ctx.budget_hit, ctx.accepted
 
 
-def _finish(query, status, witnesses, nodes, started, extras=None):
+def _watch(replay_over):
+    """Pool initializer: let this worker's runs see the end of the replay."""
+    global _replay_over
+    _replay_over = replay_over
+
+
+def _replay(ctx, start, parts, workers):
+    """Speculate on every partition in a pool and replay the runs in order
+    through ctx's own tick and accept steps.  Return how many were replayed:
+    once a packing floor has risen, the later runs pruned against a lower
+    floor than the carried one, and their partitions are left to search."""
+    floor, nodes0 = ctx.floor, ctx.nodes
+    over = multiprocessing.Event()
+    pool = ProcessPoolExecutor(
+        max_workers=min(workers, len(parts)), initializer=_watch, initargs=(over,)
+    )
+    try:
+        # one partition per task, so that each run is replayed once it ends
+        runs = pool.map(partial(_speculate, start), parts)
+        for k, (nodes, cut, accepted) in enumerate(runs, 1):
+            done = nodes0
+            for stamp, a, b in accepted:
+                ctx.tick(stamp - done)
+                done = stamp
+                ctx.accept(a, b)
+            ctx.tick(nodes - done)
+            if cut:
+                # the deadline (a node-budget cut has stopped the tick above)
+                ctx.budget_hit = True
+                raise _Stop
+            if ctx.floor > floor:
+                return k
+        return len(parts)
+    finally:
+        over.set()  # running speculations stop at their next check
+        pool.shutdown(cancel_futures=True)
+
+
+def _begin(query: DecompQuery, mode: str):
+    """Check the query's mode and target; return the start time and the
+    allowed first elements."""
+    if query.mode != mode:
+        raise ValueError(f"query.mode must be {mode!r}")
+    if query.S.bits == 0:
+        raise ValueError("target set must be nonempty")
+    return time.monotonic(), _symmetry_setup(query)
+
+
+def _finish(status, witnesses, nodes, started, extras=None):
     return DecompReport(
         status=status,
         witnesses=witnesses,
@@ -400,35 +455,22 @@ def find_additive_decompositions(query: DecompQuery, workers: int = 1) -> Decomp
     A always the maximal companion of B.  exhausted_none is reported only
     when the whole normalized space was covered within budget.
     """
-    if query.mode != MODE_DECOMPOSITION:
-        raise ValueError("query.mode must be 'decomposition'")
-    if query.S.bits == 0:
-        raise ValueError("target set must be nonempty")
-    started = time.monotonic()
-    p = query.S.p
+    started, allowed = _begin(query, MODE_DECOMPOSITION)
     n_s = len(query.S)
-    allowed = _symmetry_setup(query)
-    witnesses: list = []
+    witnesses = [(query.S, FpSet.from_elements(query.S.p, [0]))] if query.min_size <= 1 else []
     nodes = 1  # root B = {0}
-    if query.min_size <= 1:
-        witnesses.append((query.S, FpSet.from_elements(p, [0])))
     if len(witnesses) >= query.max_witnesses:
-        return _finish(query, STATUS_FOUND, witnesses, nodes, started)
+        return _finish(STATUS_FOUND, witnesses, nodes, started)
     if n_s < query.min_size:
         # #(A+B) >= max(#A, #B) >= min_size exceeds #S: nothing to search
-        return _finish(query, STATUS_EXHAUSTED, witnesses, nodes, started)
+        return _finish(STATUS_EXHAUSTED, witnesses, nodes, started)
     return _drive(query, allowed, witnesses, nodes, started, n_s - 1, workers=workers)
 
 
 def find_self_decomposition(query: DecompQuery, workers: int = 1) -> DecompReport:
     """Search for any nonempty A with A + A = S (min_size is not applied:
     the non-representability statement quantifies over every A)."""
-    if query.mode != MODE_SELF:
-        raise ValueError("query.mode must be 'self_decomposition'")
-    if query.S.bits == 0:
-        raise ValueError("target set must be nonempty")
-    started = time.monotonic()
-    allowed = _symmetry_setup(query)
+    started, allowed = _begin(query, MODE_SELF)
     return _drive(query, allowed, [], 0, started, 0, workers=workers)
 
 
@@ -440,20 +482,10 @@ def max_packing(query: DecompQuery, workers: int = 1) -> DecompReport:
     status is exhausted_none (product 0), or budget_exceeded if the budget
     ran out first.
     """
-    if query.mode != MODE_PACKING:
-        raise ValueError("query.mode must be 'packing'")
-    if query.S.bits == 0:
-        raise ValueError("target set must be nonempty")
-    started = time.monotonic()
-    p = query.S.p
-    allowed = _symmetry_setup(query)
-    witnesses: list = []
-    nodes = 1
-    best = 0
-    if query.min_size <= 1:
-        best = len(query.S)
-        witnesses.append((query.S, FpSet.from_elements(p, [0])))
-    return _drive(query, allowed, witnesses, nodes, started, best, workers=workers)
+    started, allowed = _begin(query, MODE_PACKING)
+    witnesses = [(query.S, FpSet.from_elements(query.S.p, [0]))] if query.min_size <= 1 else []
+    best = len(query.S) if witnesses else 0  # the product of the witness so far
+    return _drive(query, allowed, witnesses, 1, started, best, workers=workers)
 
 
 def run_query(query: DecompQuery, workers: int = 1) -> DecompReport:
@@ -465,60 +497,25 @@ def run_query(query: DecompQuery, workers: int = 1) -> DecompReport:
 
 
 def _drive(query, allowed, witnesses, nodes, started, floor, workers: int = 1):
-    """Run every partition and merge their results.  floor seeds _Ctx.floor;
-    when packing it is the product of the witness already in witnesses (0 if
-    there is none)."""
-    packing = query.mode == MODE_PACKING
-    payloads = _partition_payloads(query, allowed, started + query.time_budget, floor)
-    budget_hit = False
-    best = floor
-
-    def merge(result) -> bool:
-        """Fold one partition's result in; True once the witness quota is met."""
-        nonlocal nodes, budget_hit, best
-        nodes += result["nodes"]
-        budget_hit = budget_hit or result["budget_hit"]
-        got = _revive(query.S.p, result["witnesses"])
-        if packing:
-            if result["best"] > best and got:
-                best = result["best"]
-                witnesses[:] = got[-1:]
-            return False
-        witnesses.extend(got[: query.max_witnesses - len(witnesses)])
-        return len(witnesses) >= query.max_witnesses
-
-    if workers <= 1 or len(payloads) <= 1:
-        # serial: each partition gets whatever node budget is left
-        for payload in payloads:
-            remaining = query.node_budget - nodes
-            if remaining <= 0:
-                budget_hit = True
-                break
-            payload["node_budget"] = remaining
-            if packing:
-                payload["floor"] = best
-            else:
-                # stop the partition once the query's open quota is met
-                payload["max_wit"] = query.max_witnesses - len(witnesses)
-            if merge(_run_partition(payload)):
-                break
-    else:
-        per_part = max(1, (query.node_budget - nodes) // max(1, len(payloads)))
-        for payload in payloads:
-            payload["node_budget"] = per_part
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(payloads) // (workers * 4))
-            for result in pool.map(_run_partition, payloads, chunksize=chunk):
-                merge(result)
-    if budget_hit and (packing or not witnesses):
+    """Search every partition in order inside one context.  floor seeds
+    _Ctx.floor; when packing it is the product of the witness already in
+    witnesses (0 if there is none)."""
+    start = (query, started + query.time_budget, nodes, witnesses, floor)
+    ctx = _Ctx(*start)
+    parts = _partitions(ctx, allowed)
+    try:
+        replayed = 0
+        if workers > 1 and len(parts) > 1:
+            replayed = _replay(ctx, start, parts, workers)
+        for part in parts[replayed:]:
+            _search(ctx, part)
+    except (_Stop, _Done):
+        pass
+    if ctx.budget_hit and (ctx.packing or not ctx.witnesses):
         status = STATUS_BUDGET  # packing: a larger product may lie in the unsearched part
-    elif witnesses:
+    elif ctx.witnesses:
         status = STATUS_FOUND
     else:
         status = STATUS_EXHAUSTED
-    extras = {"product": best} if packing else None
-    return _finish(query, status, witnesses, nodes, started, extras)
-
-
-def _revive(p, packed):
-    return [(FpSet(p, a), FpSet(p, b)) for a, b in packed]
+    extras = {"product": ctx.floor} if ctx.packing else None
+    return _finish(status, ctx.witnesses, ctx.nodes, started, extras)

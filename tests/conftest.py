@@ -1,4 +1,4 @@
-"""Shared brute-force oracles.
+"""Shared brute-force oracles, and an in-process stand-in for process pools.
 
 Every oracle here recomputes the quantity under test from first
 principles (double loops, full enumeration), independent of the bitset
@@ -7,7 +7,34 @@ and search machinery it checks.
 
 from itertools import combinations
 
+import pytest
+
+from ffdecomp import cli, decomp
 from ffdecomp.setalg import FpSet, cyclic_shift
+
+
+@pytest.fixture
+def in_process_pools(monkeypatch):
+    """Swap the process pools of decomp and cli for a stand-in that runs map
+    lazily in this process and starts none; return the list of pools made,
+    each with its size and the cancel_futures flag of its shutdown."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            self.size = max_workers
+            self.cancelled = None
+            pools.append(self)
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.cancelled = cancel_futures
+
+    monkeypatch.setattr(decomp, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return pools
 
 
 def naive_sumset(a: FpSet, b: FpSet) -> set:

@@ -244,6 +244,46 @@ def test_sweep_workers_instance_parallel(tmp_path, capsys):
     assert one.read_bytes() == four.read_bytes()
 
 
+def test_process_pools_are_sized_to_their_tasks(tmp_path, capsys, in_process_pools):
+    # A fork pool starts all of its processes at the first submit, so a pool
+    # larger than its task list forks processes that never get work.
+    pools = in_process_pools
+    search = ["search", "--set", "qr", "--prime", "31", "--stable"]
+    _, serial = run_records(search, capsys)
+    assert not pools
+    # the quadratic residues have two partitions, one per coset minimum
+    _, spread = run_records(search + ["--workers", "64"], capsys)
+    assert spread == serial
+    assert [(pool.size, pool.cancelled) for pool in pools] == [(2, True)]
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "vinogradov", "p_range": [5, 61], "samples": 4}))
+    code, records = run_records(["sweep", "--config", str(cfg), "--workers", "64"], capsys)
+    assert code == EXIT_OK and len(records) == 4
+    assert [(pool.size, pool.cancelled) for pool in pools[1:]] == [(4, True)]
+
+
+def test_sweep_seed_comes_from_the_flag_else_the_config(tmp_path, capsys):
+    base = {"experiment": "vinogradov", "p_range": [5, 61], "samples": 5}
+    plain, seeded, bad = tmp_path / "plain.json", tmp_path / "seeded.json", tmp_path / "bad.json"
+    plain.write_text(json.dumps(base))
+    seeded.write_text(json.dumps({**base, "seed": 1}))
+    bad.write_text(json.dumps({**base, "seed": "1"}))
+
+    def sweep(cfg, *flags):
+        assert run(["sweep", "--config", str(cfg), "--stable", *flags]) == EXIT_OK
+        return capsys.readouterr().out
+
+    assert sweep(seeded) == sweep(plain, "--seed", "1")
+    assert sweep(seeded, "--seed", "0") == sweep(plain)
+    assert sweep(plain) != sweep(plain, "--seed", "1")
+    assert run(["sweep", "--config", str(bad)]) == EXIT_USAGE
+    assert "seed" in capsys.readouterr().err
+    # a single-op record without --seed keeps seed 0
+    _, (rec,) = run_records(["search", "--set", "qr", "--prime", "7"], capsys)
+    assert rec["seed"] == 0
+
+
 def test_cache_dir_flag(tmp_path, capsys, monkeypatch):
     import ffdecomp.fpcore as fpcore
 

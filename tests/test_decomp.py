@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from conftest import (
     oracle_max_packing,
     oracle_self_exists,
 )
+from ffdecomp import decomp
 from ffdecomp.decomp import (
     DecompQuery,
     find_additive_decompositions,
@@ -21,7 +23,7 @@ from ffdecomp.decomp import (
 )
 from ffdecomp.errors import EmptyB
 from ffdecomp.fpcore import divisors, make_field, primes_up_to, subgroup
-from ffdecomp.setalg import FpSet
+from ffdecomp.setalg import FpSet, sumset
 
 
 def fpset(p, *elems):
@@ -192,22 +194,93 @@ def test_query_validation():
 
 
 def test_worker_partitioning_is_deterministic():
-    targets = [
-        (qr(13), "decomposition", 2),
-        (qr(13), "self_decomposition", 2),
-        (subgroup(make_field(13), 3).elements, "decomposition", 3),
-        (fpset(13, 1, 2, 4, 5, 8), "decomposition", None),
-        (qr(17), "packing", 2),
+    # A search's result does not depend on the worker count: under any node
+    # budget and witness quota the status, witnesses, extras and node count
+    # equal the serial search's.  Each target needs 400-500 nodes, so every
+    # budget below stops it; the first two have witnesses in more than one
+    # partition.  The packing target (min_size 2) starts from floor 0 and
+    # raises it in its first three partitions, so each later partition is
+    # searched again from the carried floor.
+    dec17 = fpset(17, 2, 5, 6, 7, 8, 10, 11, 13, 14, 15, 16)
+    self19 = fpset(19, 0, 2, 3, 5, 6, 7, 8, 9, 12, 13, 15, 16, 17, 18)
+    pack19 = fpset(19, 1, 2, 3, 4, 7, 8, 10, 11, 13, 15, 16, 18)
+    targets = [  # (query fields, witness quotas)
+        (dict(S=dec17, mode="decomposition"), (1, 3)),
+        (dict(S=self19, mode="self_decomposition"), (1, 3)),
+        (dict(S=pack19, mode="packing"), (1,)),
     ]
-    for s, mode, d in targets:
-        seq = run_query(DecompQuery(S=s, mode=mode, min_size=1 if mode == "packing" else 2, subgroup_d=d))
-        par = run_query(
-            DecompQuery(S=s, mode=mode, min_size=1 if mode == "packing" else 2, subgroup_d=d),
-            workers=3,
-        )
-        assert seq.status == par.status, (s, mode)
-        assert seq.witnesses == par.witnesses, (s, mode)
-        assert seq.extras.get("product") == par.extras.get("product")
+
+    def outcome(r):
+        return r.status, r.witnesses, r.extras, r.nodes_explored
+
+    for fields, quotas in targets:
+        for budget in (7, 50, 333, 10**8):
+            for max_wit in quotas:
+                query = DecompQuery(**fields, node_budget=budget, max_witnesses=max_wit)
+                want = outcome(run_query(query))
+                for workers in (2, 4):
+                    got = outcome(run_query(query, workers=workers))
+                    assert got == want, (fields, budget, max_wit, workers)
+    # Subgroup targets, whose partitions start at the coset minima, and one
+    # more, at the default limits.
+    for fields in (
+        dict(S=qr(13), mode="decomposition", subgroup_d=2),
+        dict(S=qr(13), mode="self_decomposition", subgroup_d=2),
+        dict(S=subgroup(make_field(13), 3).elements, mode="decomposition", subgroup_d=3),
+        dict(S=fpset(13, 1, 2, 4, 5, 8), mode="decomposition"),
+        dict(S=qr(17), mode="packing", min_size=1, subgroup_d=2),
+    ):
+        query = DecompQuery(**fields)
+        assert outcome(run_query(query, workers=3)) == outcome(run_query(query)), fields
+    # A deadline stop is budget_exceeded at any worker count.
+    query = DecompQuery(S=qr(151), mode="decomposition", subgroup_d=2, time_budget=1e-9)
+    for workers in (1, 2):
+        assert run_query(query, workers=workers).status == "budget_exceeded", workers
+
+
+def test_partitions_share_one_candidate_list():
+    # A partition is an index into one ascending candidate list, so a search
+    # at p = 2003 holds about p candidates besides its S - c table, not the
+    # p^2 / 2 of a list per partition (a 77 MB peak when they were built).
+    tracemalloc.start()
+    try:
+        r = run_query(DecompQuery(S=fpset(2003, 1, 2, 4), mode="decomposition"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.status == "exhausted_none" and r.nodes_explored == 2003
+    assert peak < 8 * 2**20
+
+
+def test_speculation_stops_with_the_replay():
+    # The first partition meets the quota on its first node, while each of
+    # the next ones needs millions of nodes.  Their speculative runs must end
+    # with the replay, not run on to the deadline.
+    s = sumset(qr(101), fpset(101, 0, 1))
+    query = DecompQuery(S=s, mode="decomposition", time_budget=30.0)
+    seq = run_query(query)
+    par = run_query(query, workers=2)
+    assert (par.status, par.witnesses, par.nodes_explored) == (seq.status, seq.witnesses, 2)
+    assert par.elapsed < 10
+
+
+def test_a_worker_run_cut_by_the_deadline_ends_the_search(monkeypatch, in_process_pools):
+    # The replay must stop even where the replayed count crosses none of
+    # the parent's deadline checks; no later partition may turn the search
+    # into a certificate.
+    speculate = decomp._speculate
+
+    def cut(start, i):
+        nodes, _, accepted = speculate(start, i)
+        return nodes, True, accepted
+
+    monkeypatch.setattr(decomp, "_speculate", cut)
+    query = DecompQuery(S=qr(13), mode="decomposition", subgroup_d=2)
+    full = run_query(query)
+    r = run_query(query, workers=2)
+    assert full.status == "exhausted_none"
+    assert r.status == "budget_exceeded" and r.nodes_explored < full.nodes_explored
+    assert [pool.size for pool in in_process_pools] == [2]
 
 
 def test_report_serialization():
@@ -261,10 +334,9 @@ def test_budget_stop_lands_exactly_on_the_budget():
 
 
 def test_witness_quota_stops_the_search_at_the_last_witness():
-    # A serial search hands each partition only the quota still open, so it
-    # stops on the node that yields the last witness asked for.  That node is
-    # found independently: the smallest node budget under which an unlimited
-    # search has k witnesses is one more than it.
+    # A search stops on the node that yields the last witness asked for.
+    # That node is found independently: the smallest node budget under which
+    # an unlimited search has k witnesses is one more than it.
     s13 = fpset(13, 1, 2, 4, 5, 6, 7, 9, 12)
     unlimited = run_query(DecompQuery(S=s13, mode="decomposition", max_witnesses=10**6))
     first_budget = {}
