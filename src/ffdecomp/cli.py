@@ -24,7 +24,7 @@ Each experiment is wired once, in EXPERIMENTS, keyed by subcommand name:
 the flags it requires, how its flags become one instance dict, how a sweep
 config and seed become a list of instance dicts, and run(instance) ->
 payload, which both paths share.  A single-op command emits
-run(from_args(args)); sweep maps run over its grid, sending
+run(from_args(args)) in this process; sweep maps run over its grid, sending
 (name, instance) pairs to the worker pool.
 """
 
@@ -185,15 +185,6 @@ class _Tally:
         return f"records={self.records} ok={self.oks} fail={self.fails} exit={self.code()}"
 
 
-def _exit_code(records, expectations_failed: int = 0) -> int:
-    """The exit code of a finished list of records."""
-    tally = _Tally()
-    tally.missed = expectations_failed
-    for rec in records:
-        tally.add(rec["payload"])
-    return tally.code()
-
-
 def _write(records: Iterable[dict], args, tally: _Tally) -> None:
     """Write each record as one JSONL line or CSV row, flush it and count it.
     The --out file is opened at the first record, so a command that stops
@@ -259,13 +250,12 @@ def _two_sets(args) -> dict:
     return {"A": a, "B": b}
 
 
-def _limits(source: dict, workers: int) -> dict:
+def _limits(source: dict) -> dict:
     """Search limits from vars(args) or from a sweep config, which takes the
-    flags' names and defaults.  Sweep tasks search serially."""
+    flags' names and defaults."""
     return {
         "node_budget": source.get("node_budget", 10**8),
         "time_budget": source.get("time_budget", 300.0),
-        "workers": workers,
     }
 
 
@@ -280,7 +270,7 @@ def _search_target(inst: dict, mode: str, min_size: int):
         time_budget=inst["time_budget"],
         subgroup_d=meta.get("d") if meta.get("family") in ("qr", "subgroup") else None,
     )
-    report = run_query(query, workers=inst["workers"])
+    report = run_query(query)
     payload = report.to_dict()
     payload["instance"] = json_ready({"p": inst["p"], "set": inst["set"], **meta})
     return payload, meta, report
@@ -293,7 +283,7 @@ def _search_from_args(args) -> dict:
         "mode": args.mode,
         "min_size": args.min_size,
         "single_op": True,
-        **_limits(vars(args), args.workers),
+        **_limits(vars(args)),
     }
 
 
@@ -306,7 +296,7 @@ def _search_sweep(cfg: dict, seed: int) -> list[dict]:
         "mode": cfg.get("mode", "decomposition"),
         "min_size": cfg.get("min_size", 2),
         "single_op": False,
-        **_limits(cfg, 1),
+        **_limits(cfg),
     }
     if family == "qr":
         return [{"p": p, "set": "qr", **common} for p in primes]
@@ -330,7 +320,7 @@ def _run_search(inst: dict) -> dict:
 
 
 def _packing_from_args(args) -> dict:
-    inst = {"p": args.prime, **_limits(vars(args), args.workers)}
+    inst = {"p": args.prime, **_limits(vars(args))}
     if args.set:
         inst["set"] = args.set[0]
     else:
@@ -348,7 +338,6 @@ def _run_packing(inst: dict) -> dict:
         inst["d"],
         node_budget=inst["node_budget"],
         time_budget=inst["time_budget"],
-        workers=inst["workers"],
     ).to_dict()
 
 
@@ -366,7 +355,7 @@ def _character_args(args) -> dict:
 def _karatsuba_from_args(args) -> dict:
     inst = _character_args(args)
     if args.set:
-        inst.update(_two_sets(args), nu=args.nu or 1)
+        inst.update(_two_sets(args), nu=args.nu if args.nu is not None else 1)
     return inst
 
 
@@ -435,7 +424,7 @@ EXPERIMENTS = {
     "packing": Experiment(
         ("prime",),
         _packing_from_args,
-        lambda cfg, seed: _subgroup_grid(cfg, "all", **_limits(cfg, 1)),
+        lambda cfg, seed: _subgroup_grid(cfg, "all", **_limits(cfg)),
         _run_packing,
     ),
     "weil": Experiment(
@@ -626,8 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes for a sweep's instances or one search's partitions;"
-        " the records do not depend on it",
+        help="processes for a sweep's instances; a single-op command runs in one process",
     )
     common.add_argument(
         "--seed", type=int, help="instance seed (default: the sweep config's \"seed\", else 0)"

@@ -19,26 +19,19 @@ equal to node_budget: a search that needs N nodes stops under any budget
 up to N and runs unchanged under N + 1.  Decomposition and packing charge
 all candidates of a node at once, after the node's prunes.
 
-These semantics hold for any worker count.  One _Ctx per search owns the
-node count, witnesses and packing floor, and the partitions (one per first
-element) are searched in order inside it.  With workers > 1 a worker first
-searches each partition from the search's starting state, with the whole
-budget and quota, and returns its node count and its accepted pairs, each
-stamped with the node count at acceptance.  The parent replays them in
-order with tick(stamp - done) and accept, so budget, quota and deadline
-stop it where the serial search stops.  Once a packing floor has risen,
-the later runs started below it: the parent stops the workers and searches
-the remaining partitions itself.
+One _Ctx per search owns the node count, witnesses and packing floor, and
+the partitions (one per first element) are searched in order inside it,
+in the calling process.  A packing search carries its floor from one
+partition into the next.  Every result, nodes_explored included, depends
+only on the query, except where the deadline stops the search.
+Parallelism lives one level up: a sweep runs whole searches in a process
+pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 
 from . import fpcore
 from .errors import EmptyB
@@ -131,25 +124,6 @@ class _Done(Exception):
     """Witness quota reached."""
 
 
-_TRANS_MEMO: dict = {}
-
-# Set when a replay is over.  A pool worker swaps in its parent's
-# multiprocessing.Event (_watch); elsewhere this one is never set.
-_replay_over = threading.Event()
-
-
-def _trans_table(p: int, s_bits: int) -> list[int]:
-    """trans[c] = S - c as a bit-vector; memoized so the partitions of one
-    search share a single table (one slot is enough for that)."""
-    key = (p, s_bits)
-    cached = _TRANS_MEMO.get(key)
-    if cached is None:
-        cached = [cyclic_shift(s_bits, (p - c) % p, p) for c in range(p)]
-        _TRANS_MEMO.clear()
-        _TRANS_MEMO[key] = cached
-    return cached
-
-
 class _Ctx:
     """One search: its limits, node count, witnesses and floor."""
 
@@ -169,7 +143,6 @@ class _Ctx:
         "nodes",
         "budget_hit",
         "witnesses",
-        "accepted",
     )
 
     def __init__(self, query, deadline, nodes, witnesses, floor):
@@ -181,7 +154,8 @@ class _Ctx:
         self.floor = floor
         self.mode = query.mode
         self.packing = query.mode == MODE_PACKING
-        self.trans = _trans_table(p, self.s_bits)
+        # trans[c] = S - c as a bit-vector
+        self.trans = [cyclic_shift(self.s_bits, (p - c) % p, p) for c in range(p)]
         # the candidates in ascending order; partition i starts with domain[i]
         # and extends by domain[i + 1:]
         if self.mode == MODE_SELF:
@@ -197,22 +171,19 @@ class _Ctx:
         self.deadline = deadline
         self.nodes = nodes
         self.budget_hit = False
-        self.witnesses = list(witnesses)
-        self.accepted = []  # (node count, A, B) per accepted pair, for replay
+        self.witnesses = witnesses
 
     def tick(self, n=1):
         """Charge n examined candidates; stop exactly on the node budget, and
-        on the deadline or the end of the replay, both checked whenever the
-        count crosses a multiple of 2048."""
+        on the deadline, checked whenever the count crosses a multiple of
+        2048."""
         before = self.nodes
         self.nodes = before + n
         if self.nodes >= self.node_budget:
             self.nodes = self.node_budget
             self.budget_hit = True
             raise _Stop
-        if before >> 11 != self.nodes >> 11 and (
-            time.monotonic() > self.deadline or _replay_over.is_set()
-        ):
+        if before >> 11 != self.nodes >> 11 and time.monotonic() > self.deadline:
             self.budget_hit = True
             raise _Stop
 
@@ -220,7 +191,6 @@ class _Ctx:
         """Take the verified pair (A, B).  When packing it is the new best and
         its product the new floor; otherwise it joins the witnesses, and the
         search stops once the quota is met."""
-        self.accepted.append((self.nodes, a, b))
         if self.packing:
             self.floor = len(a) * len(b)
             self.witnesses = [(a, b)]
@@ -378,56 +348,6 @@ def _search(ctx, i):
         _dfs(ctx, [0, first], a_bits, t, ctx.domain, i + 1)
 
 
-def _speculate(start, i):
-    """Search partition i from the search's starting state (in a worker).
-    Return the node count, whether a limit cut the run, and every accepted
-    pair stamped with the node count at acceptance."""
-    ctx = _Ctx(*start)
-    try:
-        _search(ctx, i)
-    except (_Stop, _Done):
-        pass
-    return ctx.nodes, ctx.budget_hit, ctx.accepted
-
-
-def _watch(replay_over):
-    """Pool initializer: let this worker's runs see the end of the replay."""
-    global _replay_over
-    _replay_over = replay_over
-
-
-def _replay(ctx, start, parts, workers):
-    """Speculate on every partition in a pool and replay the runs in order
-    through ctx's own tick and accept steps.  Return how many were replayed:
-    once a packing floor has risen, the later runs pruned against a lower
-    floor than the carried one, and their partitions are left to search."""
-    floor, nodes0 = ctx.floor, ctx.nodes
-    over = multiprocessing.Event()
-    pool = ProcessPoolExecutor(
-        max_workers=min(workers, len(parts)), initializer=_watch, initargs=(over,)
-    )
-    try:
-        # one partition per task, so that each run is replayed once it ends
-        runs = pool.map(partial(_speculate, start), parts)
-        for k, (nodes, cut, accepted) in enumerate(runs, 1):
-            done = nodes0
-            for stamp, a, b in accepted:
-                ctx.tick(stamp - done)
-                done = stamp
-                ctx.accept(a, b)
-            ctx.tick(nodes - done)
-            if cut:
-                # the deadline (a node-budget cut has stopped the tick above)
-                ctx.budget_hit = True
-                raise _Stop
-            if ctx.floor > floor:
-                return k
-        return len(parts)
-    finally:
-        over.set()  # running speculations stop at their next check
-        pool.shutdown(cancel_futures=True)
-
-
 def _begin(query: DecompQuery, mode: str):
     """Check the query's mode and target; return the start time and the
     allowed first elements."""
@@ -448,7 +368,7 @@ def _finish(status, witnesses, nodes, started, extras=None):
     )
 
 
-def find_additive_decompositions(query: DecompQuery, workers: int = 1) -> DecompReport:
+def find_additive_decompositions(query: DecompQuery) -> DecompReport:
     """Search for S = A + B with min{#A, #B} >= query.min_size.
 
     Normalization: 0 in B and #B <= #A (translation and swap symmetry), with
@@ -464,17 +384,17 @@ def find_additive_decompositions(query: DecompQuery, workers: int = 1) -> Decomp
     if n_s < query.min_size:
         # #(A+B) >= max(#A, #B) >= min_size exceeds #S: nothing to search
         return _finish(STATUS_EXHAUSTED, witnesses, nodes, started)
-    return _drive(query, allowed, witnesses, nodes, started, n_s - 1, workers=workers)
+    return _drive(query, allowed, witnesses, nodes, started, n_s - 1)
 
 
-def find_self_decomposition(query: DecompQuery, workers: int = 1) -> DecompReport:
+def find_self_decomposition(query: DecompQuery) -> DecompReport:
     """Search for any nonempty A with A + A = S (min_size is not applied:
     the non-representability statement quantifies over every A)."""
     started, allowed = _begin(query, MODE_SELF)
-    return _drive(query, allowed, [], 0, started, 0, workers=workers)
+    return _drive(query, allowed, [], 0, started, 0)
 
 
-def max_packing(query: DecompQuery, workers: int = 1) -> DecompReport:
+def max_packing(query: DecompQuery) -> DecompReport:
     """Maximize #A * #B subject to A + B contained in S.
 
     The first witness attaining the maximum in canonical search order is
@@ -485,29 +405,24 @@ def max_packing(query: DecompQuery, workers: int = 1) -> DecompReport:
     started, allowed = _begin(query, MODE_PACKING)
     witnesses = [(query.S, FpSet.from_elements(query.S.p, [0]))] if query.min_size <= 1 else []
     best = len(query.S) if witnesses else 0  # the product of the witness so far
-    return _drive(query, allowed, witnesses, 1, started, best, workers=workers)
+    return _drive(query, allowed, witnesses, 1, started, best)
 
 
-def run_query(query: DecompQuery, workers: int = 1) -> DecompReport:
+def run_query(query: DecompQuery) -> DecompReport:
     if query.mode == MODE_DECOMPOSITION:
-        return find_additive_decompositions(query, workers=workers)
+        return find_additive_decompositions(query)
     if query.mode == MODE_SELF:
-        return find_self_decomposition(query, workers=workers)
-    return max_packing(query, workers=workers)
+        return find_self_decomposition(query)
+    return max_packing(query)
 
 
-def _drive(query, allowed, witnesses, nodes, started, floor, workers: int = 1):
+def _drive(query, allowed, witnesses, nodes, started, floor):
     """Search every partition in order inside one context.  floor seeds
     _Ctx.floor; when packing it is the product of the witness already in
     witnesses (0 if there is none)."""
-    start = (query, started + query.time_budget, nodes, witnesses, floor)
-    ctx = _Ctx(*start)
-    parts = _partitions(ctx, allowed)
+    ctx = _Ctx(query, started + query.time_budget, nodes, witnesses, floor)
     try:
-        replayed = 0
-        if workers > 1 and len(parts) > 1:
-            replayed = _replay(ctx, start, parts, workers)
-        for part in parts[replayed:]:
+        for part in _partitions(ctx, allowed):
             _search(ctx, part)
     except (_Stop, _Done):
         pass

@@ -293,7 +293,6 @@ def packing_bound_harness(
     d: int,
     node_budget: int = 10**8,
     time_budget: float = 300.0,
-    workers: int = 1,
 ) -> BoundReport:
     """Exhaustive maximal packing A + B inside G_d, asserting the exact
     product cap #A * #B <= p, plus envelope ratios at the maximizer."""
@@ -306,7 +305,7 @@ def packing_bound_harness(
         time_budget=time_budget,
         subgroup_d=d,
     )
-    result = max_packing(query, workers=workers)
+    result = max_packing(query)
     product = result.extras.get("product", 0)
     complete = result.status == "found"
     witness_a, witness_b = result.witnesses[0]

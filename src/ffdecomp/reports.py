@@ -31,8 +31,6 @@ def json_ready(obj: Any) -> Any:
         return obj.elements()
     if isinstance(obj, Fraction):
         return float(obj)
-    if isinstance(obj, bool) or obj is None:
-        return obj
     if isinstance(obj, (int, float, str)):
         return obj
     if hasattr(obj, "item"):  # numpy scalars

@@ -9,19 +9,19 @@ from itertools import combinations
 
 import pytest
 
-from ffdecomp import cli, decomp
+from ffdecomp import cli
 from ffdecomp.setalg import FpSet, cyclic_shift
 
 
 @pytest.fixture
 def in_process_pools(monkeypatch):
-    """Swap the process pools of decomp and cli for a stand-in that runs map
-    lazily in this process and starts none; return the list of pools made,
-    each with its size and the cancel_futures flag of its shutdown."""
+    """Swap cli's process pool for a stand-in that runs map lazily in this
+    process and starts none; return the list of pools made, each with its
+    size and the cancel_futures flag of its shutdown."""
     pools = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
+        def __init__(self, max_workers):
             self.size = max_workers
             self.cancelled = None
             pools.append(self)
@@ -32,7 +32,6 @@ def in_process_pools(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             self.cancelled = cancel_futures
 
-    monkeypatch.setattr(decomp, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     return pools
 

@@ -226,16 +226,23 @@ def test_interval_exp_sum_matches_direct_sum():
 
 _OPTIMIZED_CHECKS_SCRIPT = r"""
 import json, math, sys
-from ffdecomp import charsum, setalg
+from ffdecomp import charsum, decomp, setalg
+from ffdecomp.decomp import DecompQuery, run_query
 from ffdecomp.fpcore import make_field
 from ffdecomp.setalg import FpSet
 
 chi = charsum.Character(make_field(7), 2, 1)
 a = FpSet.from_elements(7, [1, 2])
+s = FpSet.from_elements(7, [1, 2, 4, 5])  # {1, 4} + {0, 1}
+a2 = FpSet.from_elements(7, [2, 3, 4])  # {1, 2} + {1, 2}
 calls = {
     "double_char_sum": lambda: charsum.double_char_sum(chi, a, a),
     "interval_exp_sum": lambda: charsum.interval_exp_sum(7, 0, 7, 2),
     "growth_product": lambda: setalg.growth_product(a, 3),
+    # each search finds a witness, which it re-verifies before accepting it
+    "decomposition": lambda: run_query(DecompQuery(S=s, mode="decomposition")),
+    "packing": lambda: run_query(DecompQuery(S=s, mode="packing")),
+    "self_decomposition": lambda: run_query(DecompQuery(S=a2, mode="self_decomposition")),
 }
 for call in calls.values():
     call()  # intact inputs pass every check
@@ -250,6 +257,7 @@ def raises(call):
 charsum.RootOfUnityTally.total = lambda self: -1  # tally no longer sums to #A * #B
 math.sin = lambda x: x  # |sin(pi lam n / p) / sin(pi lam / p)| becomes n = 7 > p / 2
 setalg.affine = lambda s, lam, mu: FpSet(s.p, 0)  # conjugated route returns the empty set
+decomp._naive_sum_bits = lambda a, b, p: (1 << p) - 1  # the schoolbook sumset is all of F_p
 print(json.dumps({"optimize": sys.flags.optimize, **{k: raises(c) for k, c in calls.items()}}))
 """
 
@@ -267,4 +275,7 @@ def test_library_checks_survive_python_O():
         "double_char_sum": True,
         "interval_exp_sum": True,
         "growth_product": True,
+        "decomposition": True,
+        "packing": True,
+        "self_decomposition": True,
     }

@@ -15,7 +15,7 @@ from ffdecomp.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
-    _exit_code,
+    _Tally,
     build_parser,
     make_record,
     parse_target,
@@ -73,14 +73,21 @@ def test_budget_exit_code(capsys):
     assert records[0]["payload"]["status"] == "budget_exceeded"
 
 
+def exit_code(records) -> int:
+    tally = _Tally()
+    for rec in records:
+        tally.add(rec["payload"])
+    return tally.code()
+
+
 def test_exit_code_precedence_unit():
     ok_rec = make_record("x", 0, {"ok": True})
     fail_rec = make_record("x", 0, {"ok": False})
     budget_rec = make_record("x", 0, {"status": "budget_exceeded"})
-    assert _exit_code([ok_rec]) == EXIT_OK
-    assert _exit_code([ok_rec, fail_rec]) == EXIT_FAIL
-    assert _exit_code([ok_rec, budget_rec]) == EXIT_BUDGET
-    assert _exit_code([fail_rec, budget_rec]) == EXIT_FAIL
+    assert exit_code([ok_rec]) == EXIT_OK
+    assert exit_code([ok_rec, fail_rec]) == EXIT_FAIL
+    assert exit_code([ok_rec, budget_rec]) == EXIT_BUDGET
+    assert exit_code([fail_rec, budget_rec]) == EXIT_FAIL
 
 
 def test_shkvyu_example(capsys):
@@ -246,21 +253,20 @@ def test_sweep_workers_instance_parallel(tmp_path, capsys):
 
 def test_process_pools_are_sized_to_their_tasks(tmp_path, capsys, in_process_pools):
     # A fork pool starts all of its processes at the first submit, so a pool
-    # larger than its task list forks processes that never get work.
+    # larger than its task list forks processes that never get work.  A
+    # single-op command runs in one process whatever --workers says.
     pools = in_process_pools
     search = ["search", "--set", "qr", "--prime", "31", "--stable"]
     _, serial = run_records(search, capsys)
+    _, wide = run_records(search + ["--workers", "64"], capsys)
+    assert wide == serial
     assert not pools
-    # the quadratic residues have two partitions, one per coset minimum
-    _, spread = run_records(search + ["--workers", "64"], capsys)
-    assert spread == serial
-    assert [(pool.size, pool.cancelled) for pool in pools] == [(2, True)]
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "vinogradov", "p_range": [5, 61], "samples": 4}))
     code, records = run_records(["sweep", "--config", str(cfg), "--workers", "64"], capsys)
     assert code == EXIT_OK and len(records) == 4
-    assert [(pool.size, pool.cancelled) for pool in pools[1:]] == [(4, True)]
+    assert [(pool.size, pool.cancelled) for pool in pools] == [(4, True)]
 
 
 def test_sweep_seed_comes_from_the_flag_else_the_config(tmp_path, capsys):
@@ -388,19 +394,23 @@ def test_sweep_matches_single_op_for_every_experiment(tmp_path, capsys):
 def test_usage_and_config_errors_create_no_out_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "vinogradov", "p_range": [8, 9]}))
-    cases = [
-        ["sweep", "--config", str(bad)],
-        ["sweep", "--config", str(tmp_path / "nope.json")],
-        ["search", "--set", "qr", "--prime", "6"],
-        ["shkvyu", "--prime", "61", "--d", "15", "--m", "3", "--shifts", "1,2"],
+    cases = [  # (argv, part of the error line)
+        (["sweep", "--config", str(bad)], "contains no usable prime"),
+        (["sweep", "--config", str(tmp_path / "nope.json")], "cannot read config"),
+        (["search", "--set", "qr", "--prime", "6"], "is not prime"),
+        (["shkvyu", "--prime", "61", "--d", "15", "--m", "3", "--shifts", "1,2"], "disagrees"),
+        # --nu 0 is checked like any other value, not replaced by the default
+        (["karatsuba", "--prime", "7", "--d", "2", "--set", "7:{1,2}", "--set", "7:{3,4}",
+          "--nu", "0"], "nu must be >= 1, got 0"),
     ]
-    for i, argv in enumerate(cases):
+    for i, (argv, message) in enumerate(cases):
         out = tmp_path / f"out{i}.jsonl"
         assert run(argv + ["--out", str(out)]) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert not out.exists(), argv
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert message in captured.err, argv
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +539,7 @@ def test_single_op_bytes_match_the_collecting_writer(capsys, monkeypatch):
         for fmt in ("jsonl", "csv"):
             code = run(argv + ["--stable", "--seed", "4", "--format", fmt])
             assert capsys.readouterr().out == oracle_emit(args.command, 4, payloads, fmt), (argv, fmt)
-            assert code == _exit_code([{"payload": payloads[0]}]), argv
+            assert code == exit_code([{"payload": payloads[0]}]), argv
 
 
 @pytest.mark.parametrize(
