@@ -169,9 +169,6 @@ def test_budget_exceeded_status():
     assert r.nodes_explored <= 5
     r = run_query(DecompQuery(S=s, mode="packing", min_size=1, node_budget=5))
     assert r.status == "budget_exceeded"
-    # a deadline stop, whose node count is not the budget
-    query = DecompQuery(S=qr(151), mode="decomposition", subgroup_d=2, time_budget=1e-9)
-    assert run_query(query).status == "budget_exceeded"
 
 
 def test_query_validation():
@@ -193,6 +190,56 @@ def test_query_validation():
     with pytest.raises(ValueError):
         # declared subgroup does not match the set
         run_query(DecompQuery(S=fpset(7, 1, 3), mode="decomposition", subgroup_d=2))
+
+
+def test_worker_partitioning_is_deterministic():
+    # The partitions are searched in order inside one context, so a
+    # search's result depends only on the query: a repeated query gives the
+    # same status, witnesses, extras and node count, a node budget cuts the
+    # search at exactly that count, and a cut or quota-stopped search keeps a
+    # prefix of the full search's witnesses.  The first two targets have
+    # witnesses in more than one partition.  The packing target (min_size 2)
+    # starts from floor 0 and raises it in its first three partitions.
+    dec17 = fpset(17, 2, 5, 6, 7, 8, 10, 11, 13, 14, 15, 16)
+    self19 = fpset(19, 0, 2, 3, 5, 6, 7, 8, 9, 12, 13, 15, 16, 17, 18)
+    pack19 = fpset(19, 1, 2, 3, 4, 7, 8, 10, 11, 13, 15, 16, 18)
+    targets = [  # (query fields, witness quotas)
+        (dict(S=dec17, mode="decomposition"), (1, 3)),
+        (dict(S=self19, mode="self_decomposition"), (1, 3)),
+        (dict(S=pack19, mode="packing"), (1,)),
+    ]
+
+    def outcome(r):
+        return r.status, r.witnesses, r.extras, r.nodes_explored
+
+    for fields, quotas in targets:
+        every = run_query(DecompQuery(**fields, max_witnesses=10**6)).witnesses
+        for max_wit in quotas:
+            full = run_query(DecompQuery(**fields, max_witnesses=max_wit))
+            n = full.nodes_explored
+            for budget in (7, 50, 333, n, n + 1, 10**8):
+                query = DecompQuery(**fields, node_budget=budget, max_witnesses=max_wit)
+                r = run_query(query)
+                assert outcome(run_query(query)) == outcome(r), (fields, budget, max_wit)
+                assert r.nodes_explored == min(budget, n), (fields, budget, max_wit)
+                if budget > n:
+                    assert outcome(r) == outcome(full), (fields, budget, max_wit)
+                elif fields["mode"] != "packing":
+                    assert r.witnesses == every[: len(r.witnesses)], (fields, budget, max_wit)
+    # Subgroup targets, whose partitions start at the coset minima, and one
+    # more, at the default limits.
+    for fields in (
+        dict(S=qr(13), mode="decomposition", subgroup_d=2),
+        dict(S=qr(13), mode="self_decomposition", subgroup_d=2),
+        dict(S=subgroup(make_field(13), 3).elements, mode="decomposition", subgroup_d=3),
+        dict(S=fpset(13, 1, 2, 4, 5, 8), mode="decomposition"),
+        dict(S=qr(17), mode="packing", min_size=1, subgroup_d=2),
+    ):
+        query = DecompQuery(**fields)
+        assert outcome(run_query(query)) == outcome(run_query(query)), fields
+    # A deadline stop, whose node count is not the budget, is budget_exceeded.
+    query = DecompQuery(S=qr(151), mode="decomposition", subgroup_d=2, time_budget=1e-9)
+    assert run_query(query).status == "budget_exceeded"
 
 
 def test_partitions_share_one_candidate_list():
