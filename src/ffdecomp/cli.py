@@ -254,8 +254,8 @@ def _limits(source: dict) -> dict:
     """Search limits from vars(args) or from a sweep config, which takes the
     flags' names and defaults."""
     return {
-        "node_budget": source.get("node_budget", 10**8),
-        "time_budget": source.get("time_budget", 300.0),
+        "node_budget": source.get("node_budget", DecompQuery.node_budget),
+        "time_budget": source.get("time_budget", DecompQuery.time_budget),
     }
 
 
@@ -294,7 +294,7 @@ def _search_sweep(cfg: dict, seed: int) -> list[dict]:
         raise ConfigError(f"search sweep does not support set family {family!r}")
     common = {
         "mode": cfg.get("mode", "decomposition"),
-        "min_size": cfg.get("min_size", 2),
+        "min_size": cfg.get("min_size", DecompQuery.min_size),
         "single_op": False,
         **_limits(cfg),
     }
@@ -516,10 +516,9 @@ def _d_options(p: int, d_filter) -> list[int]:
     divs = fpcore.divisors(p - 1)
     if d_filter is None or d_filter == "all":
         return [d for d in divs if d >= 2]
-    if d_filter == "proper":
+    if d_filter in ("proper", "order>=2"):
+        # the same filter: for d | p - 1, d < p - 1 exactly when (p - 1) / d >= 2
         return [d for d in divs if 2 <= d < p - 1]
-    if d_filter == "order>=2":
-        return [d for d in divs if d >= 2 and (p - 1) // d >= 2]
     try:
         d = int(d_filter)
     except (TypeError, ValueError):
@@ -608,9 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--shifts", help="comma-separated shift list")
     common.add_argument("--nu", type=int, help="envelope exponent parameter")
     common.add_argument("--poly", help="polynomial coefficients c0,c1,... low to high")
-    common.add_argument("--min-size", type=int, default=2, dest="min_size")
-    common.add_argument("--node-budget", type=int, default=10**8, dest="node_budget")
-    common.add_argument("--time-budget", type=float, default=300.0, dest="time_budget")
+    common.add_argument("--min-size", type=int, default=DecompQuery.min_size)
+    common.add_argument("--node-budget", type=int, default=DecompQuery.node_budget)
+    common.add_argument("--time-budget", type=float, default=DecompQuery.time_budget)
     common.add_argument(
         "--workers",
         type=int,

@@ -10,7 +10,9 @@ intersections cap every reachable product below the requirement.
 For subgroup targets the whole configuration can be multiplied by any
 subgroup element, so the first nonzero element of B is restricted to the
 minimum of its multiplicative coset; this is a pure symmetry quotient and
-discards no decomposition class.
+discards no decomposition class.  It is _coset_minima, which validates the
+declared subgroup and returns the minima, plus one condition in _run's
+partition loop.
 
 Budget: a node is one candidate examined, counting the first element of
 each partition (and, for decomposition and packing, the root B = {0}).
@@ -19,13 +21,14 @@ equal to node_budget: a search that needs N nodes stops under any budget
 up to N and runs unchanged under N + 1.  Decomposition and packing charge
 all candidates of a node at once, after the node's prunes.
 
-One _Ctx per search owns the node count, witnesses and packing floor, and
-the partitions (one per first element) are searched in order inside it,
-in the calling process.  A packing search carries its floor from one
-partition into the next.  Every result, nodes_explored included, depends
-only on the query, except where the deadline stops the search.
-Parallelism lives one level up: a sweep runs whole searches in a process
-pool.
+One setup path serves all three modes: each entry point calls _run, which
+builds one _Ctx from the query (clock, floor, node count, witnesses), seeds
+the trivial pair (S, {0}) through _Ctx.accept when min_size allows, and
+searches the partitions (one per first element) in order inside it, in the
+calling process, a packing floor carrying from one partition to the next.
+Every result, nodes_explored included, depends only on the query, except
+where the deadline stops the search.  Parallelism lives one level up: a
+sweep runs whole searches in a process pool.
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ class _Done(Exception):
 
 
 class _Ctx:
-    """One search: its limits, node count, witnesses and floor."""
+    """One search: its limits, clock, node count, witnesses and floor, all
+    set from the query."""
 
     __slots__ = (
         "p",
@@ -139,23 +143,25 @@ class _Ctx:
         "cap",
         "max_wit",
         "node_budget",
+        "started",
         "deadline",
         "nodes",
         "budget_hit",
         "witnesses",
     )
 
-    def __init__(self, query, deadline, nodes, witnesses, floor):
+    def __init__(self, query):
+        self.started = time.monotonic()
+        self.deadline = self.started + query.time_budget
         p = query.S.p
         self.p = p
         self.s_bits = query.S.bits
-        # An accepted (A, B) has #A * #B > floor: #S - 1 when deciding
-        # S = A + B, the best product so far when packing.
-        self.floor = floor
         self.mode = query.mode
         self.packing = query.mode == MODE_PACKING
-        # trans[c] = S - c as a bit-vector
-        self.trans = [cyclic_shift(self.s_bits, (p - c) % p, p) for c in range(p)]
+        # An accepted (A, B) has #A * #B > floor: #S - 1 when deciding
+        # S = A + B, the best product so far when packing.
+        self.floor = len(query.S) - 1 if query.mode == MODE_DECOMPOSITION else 0
+        self.trans = None  # S - c for each c (p^2 bits): built by _run only to search
         # the candidates in ascending order; partition i starts with domain[i]
         # and extends by domain[i + 1:]
         if self.mode == MODE_SELF:
@@ -168,10 +174,10 @@ class _Ctx:
         self.cap = query.b_size_cap if query.b_size_cap is not None else p
         self.max_wit = query.max_witnesses
         self.node_budget = query.node_budget
-        self.deadline = deadline
-        self.nodes = nodes
+        # decomposition and packing count the root B = {0} as a node
+        self.nodes = 0 if query.mode == MODE_SELF else 1
         self.budget_hit = False
-        self.witnesses = witnesses
+        self.witnesses = []
 
     def tick(self, n=1):
         """Charge n examined candidates; stop exactly on the node budget, and
@@ -272,13 +278,9 @@ def _dfs(ctx, b_list, a_bits, a_size, cands, start):
         _dfs(ctx, b_list + [c], kept_bits[i], sizes[i], kept, i + 1)
 
 
-def _dfs_self(ctx, a_list, a_bits, sum_bits, cands):
+def _dfs_self(ctx, a_bits, sum_bits, cands):
     if sum_bits == ctx.s_bits:
-        a_elems = bit_elements(a_bits)
-        if _naive_sum_bits(a_elems, a_elems, ctx.p) != ctx.s_bits:
-            raise AssertionError("corrupted witness: A + A does not equal the target")
-        a_set = FpSet(ctx.p, a_bits)
-        ctx.accept(a_set, a_set)
+        _emit_pair(ctx, a_bits, bit_elements(a_bits))
     if not cands:
         return
     # Everything a descendant can still cover: (A union R) + R.
@@ -298,22 +300,12 @@ def _dfs_self(ctx, a_list, a_bits, sum_bits, cands):
             continue  # some a + c falls outside S
         new_a = a_bits | (1 << c)
         new_sum = sum_bits | cyclic_shift(a_bits, c, p) | (1 << (2 * c % p))
-        _dfs_self(ctx, a_list + [c], new_a, new_sum, cands[i + 1 :])
+        _dfs_self(ctx, new_a, new_sum, cands[i + 1 :])
 
 
-def _coset_minimum_firsts(p: int, d: int) -> list[int]:
-    """Minimum element of each coset of the d-th powers in F_p^*."""
-    fld = fpcore.make_field(p)
-    firsts = [-1] * d
-    for x in range(1, p):
-        c = fld.dlog[x] % d
-        if firsts[c] < 0:
-            firsts[c] = x
-    return sorted(firsts)
-
-
-def _symmetry_setup(query: DecompQuery) -> list[int] | None:
-    """Validate a declared subgroup target and return allowed first elements."""
+def _coset_minima(query: DecompQuery) -> set[int] | None:
+    """Validate a declared subgroup target and return the minimum element of
+    each coset of the d-th powers in F_p^*; None when no subgroup is declared."""
     d = query.subgroup_d
     if d is None:
         return None
@@ -321,18 +313,12 @@ def _symmetry_setup(query: DecompQuery) -> list[int] | None:
     fld = fpcore.make_field(p)
     if d < 2 or (p - 1) % d != 0:
         raise ValueError(f"subgroup_d = {d} is not a proper divisor context for p = {p}")
-    expected = fpcore.subgroup(fld, d).elements
-    if expected != query.S:
+    if fpcore.subgroup(fld, d).elements != query.S:
         raise ValueError("declared subgroup target does not match S")
-    return _coset_minimum_firsts(p, d)
-
-
-def _partitions(ctx, allowed_firsts) -> list[int]:
-    """The partitions to search, in order: indices into ctx.domain."""
-    if allowed_firsts is None:
-        return list(range(len(ctx.domain)))
-    allow = set(allowed_firsts)
-    return [i for i, x in enumerate(ctx.domain) if x in allow]
+    minima = {}
+    for x in range(1, p):
+        minima.setdefault(fld.dlog[x] % d, x)
+    return set(minima.values())
 
 
 def _search(ctx, i):
@@ -340,7 +326,7 @@ def _search(ctx, i):
     first = ctx.domain[i]
     ctx.tick()
     if ctx.mode == MODE_SELF:
-        _dfs_self(ctx, [first], 1 << first, 1 << (2 * first % ctx.p), ctx.domain[i + 1 :])
+        _dfs_self(ctx, 1 << first, 1 << (2 * first % ctx.p), ctx.domain[i + 1 :])
         return
     a_bits = ctx.s_bits & ctx.trans[first]
     t = a_bits.bit_count()
@@ -348,23 +334,39 @@ def _search(ctx, i):
         _dfs(ctx, [0, first], a_bits, t, ctx.domain, i + 1)
 
 
-def _begin(query: DecompQuery, mode: str):
-    """Check the query's mode and target; return the start time and the
-    allowed first elements."""
+def _run(query: DecompQuery, mode: str) -> DecompReport:
+    """Check the query, seed the trivial pair, search the partitions whose
+    first element is a coset minimum, in order, and report."""
     if query.mode != mode:
         raise ValueError(f"query.mode must be {mode!r}")
     if query.S.bits == 0:
         raise ValueError("target set must be nonempty")
-    return time.monotonic(), _symmetry_setup(query)
-
-
-def _finish(status, witnesses, nodes, started, extras=None):
+    ctx = _Ctx(query)
+    minima = _coset_minima(query)
+    p = ctx.p
+    try:
+        if mode != MODE_SELF and query.min_size <= 1:
+            ctx.accept(query.S, FpSet.from_elements(p, [0]))
+        # when deciding, #(A+B) >= max(#A, #B) >= min_size must not exceed #S
+        if mode != MODE_DECOMPOSITION or len(query.S) >= query.min_size:
+            ctx.trans = [cyclic_shift(ctx.s_bits, (p - c) % p, p) for c in range(p)]
+            for i, first in enumerate(ctx.domain):
+                if minima is None or first in minima:
+                    _search(ctx, i)
+    except (_Stop, _Done):
+        pass
+    if ctx.budget_hit and (ctx.packing or not ctx.witnesses):
+        status = STATUS_BUDGET  # packing: a larger product may lie in the unsearched part
+    elif ctx.witnesses:
+        status = STATUS_FOUND
+    else:
+        status = STATUS_EXHAUSTED
     return DecompReport(
         status=status,
-        witnesses=witnesses,
-        nodes_explored=nodes,
-        elapsed=time.monotonic() - started,
-        extras=extras or {},
+        witnesses=ctx.witnesses,
+        nodes_explored=ctx.nodes,
+        elapsed=time.monotonic() - ctx.started,
+        extras={"product": ctx.floor} if ctx.packing else {},
     )
 
 
@@ -375,23 +377,13 @@ def find_additive_decompositions(query: DecompQuery) -> DecompReport:
     A always the maximal companion of B.  exhausted_none is reported only
     when the whole normalized space was covered within budget.
     """
-    started, allowed = _begin(query, MODE_DECOMPOSITION)
-    n_s = len(query.S)
-    witnesses = [(query.S, FpSet.from_elements(query.S.p, [0]))] if query.min_size <= 1 else []
-    nodes = 1  # root B = {0}
-    if len(witnesses) >= query.max_witnesses:
-        return _finish(STATUS_FOUND, witnesses, nodes, started)
-    if n_s < query.min_size:
-        # #(A+B) >= max(#A, #B) >= min_size exceeds #S: nothing to search
-        return _finish(STATUS_EXHAUSTED, witnesses, nodes, started)
-    return _drive(query, allowed, witnesses, nodes, started, n_s - 1)
+    return _run(query, MODE_DECOMPOSITION)
 
 
 def find_self_decomposition(query: DecompQuery) -> DecompReport:
     """Search for any nonempty A with A + A = S (min_size is not applied:
     the non-representability statement quantifies over every A)."""
-    started, allowed = _begin(query, MODE_SELF)
-    return _drive(query, allowed, [], 0, started, 0)
+    return _run(query, MODE_SELF)
 
 
 def max_packing(query: DecompQuery) -> DecompReport:
@@ -402,10 +394,7 @@ def max_packing(query: DecompQuery) -> DecompReport:
     status is exhausted_none (product 0), or budget_exceeded if the budget
     ran out first.
     """
-    started, allowed = _begin(query, MODE_PACKING)
-    witnesses = [(query.S, FpSet.from_elements(query.S.p, [0]))] if query.min_size <= 1 else []
-    best = len(query.S) if witnesses else 0  # the product of the witness so far
-    return _drive(query, allowed, witnesses, 1, started, best)
+    return _run(query, MODE_PACKING)
 
 
 def run_query(query: DecompQuery) -> DecompReport:
@@ -414,23 +403,3 @@ def run_query(query: DecompQuery) -> DecompReport:
     if query.mode == MODE_SELF:
         return find_self_decomposition(query)
     return max_packing(query)
-
-
-def _drive(query, allowed, witnesses, nodes, started, floor):
-    """Search every partition in order inside one context.  floor seeds
-    _Ctx.floor; when packing it is the product of the witness already in
-    witnesses (0 if there is none)."""
-    ctx = _Ctx(query, started + query.time_budget, nodes, witnesses, floor)
-    try:
-        for part in _partitions(ctx, allowed):
-            _search(ctx, part)
-    except (_Stop, _Done):
-        pass
-    if ctx.budget_hit and (ctx.packing or not ctx.witnesses):
-        status = STATUS_BUDGET  # packing: a larger product may lie in the unsearched part
-    elif ctx.witnesses:
-        status = STATUS_FOUND
-    else:
-        status = STATUS_EXHAUSTED
-    extras = {"product": ctx.floor} if ctx.packing else None
-    return _finish(status, ctx.witnesses, ctx.nodes, started, extras)

@@ -291,8 +291,8 @@ def growth_exponent_report(p: int, d: int, eps: float = DEFAULT_SIZE_EPSILON) ->
 def packing_bound_harness(
     p: int,
     d: int,
-    node_budget: int = 10**8,
-    time_budget: float = 300.0,
+    node_budget: int = DecompQuery.node_budget,
+    time_budget: float = DecompQuery.time_budget,
 ) -> BoundReport:
     """Exhaustive maximal packing A + B inside G_d, asserting the exact
     product cap #A * #B <= p, plus envelope ratios at the maximizer."""

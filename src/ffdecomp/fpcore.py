@@ -17,7 +17,6 @@ import os
 import struct
 import sys
 from array import array
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np

@@ -99,10 +99,6 @@ class FpSet:
         return cls(p, 0)
 
     @classmethod
-    def full(cls, p: int) -> "FpSet":
-        return cls(p, (1 << p) - 1)
-
-    @classmethod
     def nonzero(cls, p: int) -> "FpSet":
         return cls(p, ((1 << p) - 1) ^ 1)
 
@@ -123,22 +119,6 @@ class FpSet:
 
     def translate(self, t: int) -> "FpSet":
         return FpSet(self.p, cyclic_shift(self.bits, t, self.p))
-
-    def union(self, other: "FpSet") -> "FpSet":
-        _check_same(self, other)
-        return FpSet(self.p, self.bits | other.bits)
-
-    def intersection(self, other: "FpSet") -> "FpSet":
-        _check_same(self, other)
-        return FpSet(self.p, self.bits & other.bits)
-
-    def difference(self, other: "FpSet") -> "FpSet":
-        _check_same(self, other)
-        return FpSet(self.p, self.bits & ~other.bits)
-
-    def issubset(self, other: "FpSet") -> bool:
-        _check_same(self, other)
-        return self.bits & ~other.bits == 0
 
 
 def _check_same(a: FpSet, b: FpSet) -> None:

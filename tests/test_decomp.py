@@ -64,6 +64,28 @@ def test_decomposition_min_size_one_is_trivial():
     assert a == s and b == fpset(7, 0)
 
 
+def test_start_states():
+    # The trivial pair (S, {0}) is seeded before any partition, the root
+    # B = {0} is one node outside self mode, and a decision with #S below
+    # min_size searches nothing: (query fields, status, witnesses, nodes, extras).
+    s7, s11 = fpset(7, 1, 3), fpset(11, 1)
+    cases = [
+        (dict(S=s7, mode="decomposition", min_size=1), "found", [(s7, fpset(7, 0))], 1, {}),
+        (dict(S=s7, mode="decomposition", min_size=1, max_witnesses=2),
+         "found", [(s7, fpset(7, 0))], 7, {}),
+        (dict(S=fpset(11, 3), mode="decomposition"), "exhausted_none", [], 1, {}),
+        (dict(S=s11, mode="packing", min_size=1), "found", [(s11, fpset(11, 0))], 11,
+         {"product": 1}),
+        (dict(S=s11, mode="packing", min_size=2), "exhausted_none", [], 11, {"product": 0}),
+        (dict(S=fpset(7, 1), mode="self_decomposition"),
+         "found", [(fpset(7, 4), fpset(7, 4))], 1, {}),
+    ]
+    for fields, status, witnesses, nodes, extras in cases:
+        r = run_query(DecompQuery(**fields))
+        assert (r.status, r.witnesses, r.nodes_explored, r.extras) == (
+            status, witnesses, nodes, extras), fields
+
+
 def test_self_decomposition_examples():
     r = run_query(DecompQuery(S=qr(7), mode="self_decomposition", subgroup_d=2))
     assert r.status == "exhausted_none"

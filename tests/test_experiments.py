@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from conftest import multiplicative_order
 from ffdecomp.errors import BadIndex, DuplicateShift, ZeroSetOnly
 from ffdecomp.experiments import (
     bourgain_report,
