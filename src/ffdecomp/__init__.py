@@ -38,7 +38,7 @@ from .errors import (
     ZeroHasNoLog,
     ZeroSetOnly,
 )
-from .fpcore import PrimeField, Subgroup, dlog, make_field, subgroup
+from .fpcore import PrimeField, dlog, make_field, subgroup
 from .reports import BoundReport
 from .setalg import (
     FpSet,

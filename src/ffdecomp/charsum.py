@@ -16,7 +16,7 @@ import numpy as np
 
 from . import polyfp
 from .errors import BadIndex
-from .fpcore import PrimeField
+from .fpcore import PrimeField, subgroup
 from .reports import BoundReport
 from .setalg import FpSet, bits_from
 
@@ -149,13 +149,11 @@ def indicator_identity_holds(fld: PrimeField, d: int) -> bool:
     dlog(v) mod d, and its exact integer value must be d on the class of
     d-th powers and 0 elsewhere.
     """
-    from .fpcore import subgroup
-
     sub = subgroup(fld, d)
     # Membership table must match the dlog divisibility criterion.
     dl = fld.dlog
     member_bits = bits_from([x for x in range(1, fld.p) if dl[x] % d == 0], fld.p)
-    if member_bits != sub.elements.bits:
+    if member_bits != sub.bits:
         return False
     for k_class in range(d):
         tally = RootOfUnityTally(d)

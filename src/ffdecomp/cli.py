@@ -26,6 +26,33 @@ config and seed become a list of instance dicts, and run(instance) ->
 payload, which both paths share.  A single-op command emits
 run(from_args(args)) in this process; sweep maps run over its grid, sending
 (name, instance) pairs to the worker pool.
+
+A sweep config is a JSON object with "experiment" and "p_range" [lo, hi];
+"seed" (else 0; --seed wins) and "expect" (a status every record must
+report) are optional.  A grid takes every prime p >= 3 of p_range, a seeded
+experiment draws from the primes p >= 5 of p_range, and a p_range without
+such a prime is a config error.  The other keys, with their defaults:
+
+  experiment  instances                 keys (default)
+  search      grid over p (and d)       set ("qr", or "subgroup"),
+                                        mode ("decomposition", or "self"),
+                                        min_size (2), node_budget (10**8),
+                                        time_budget (300.0),
+                                        d_filter ("proper"; subgroup only)
+  packing     grid over (p, d)          d_filter ("all"), node_budget, time_budget
+  karatsuba   grid over (p, d)          d_filter ("all")
+  growth      grid over (p, d)          d_filter ("order>=2")
+  weil        seeded: samples draws     samples (100), deg_max (6)
+  vinogradov  seeded: samples draws     samples (100)
+  wsum, nsum  seeded: samples draws     samples (100), b_max (6)
+  interval    seeded: samples draws     samples (100)
+  bourgain    seeded: samples draws     samples (100), size_max (6)
+  shkvyu      seeded: samples per       samples (100), g_max (30), m ([2, 3])
+              (p, d, m), #G_d <= g_max
+
+d_filter picks the d of each p (experiments.grid_divisors): "all" every
+d >= 2 dividing p - 1, "proper" or "order>=2" those with #G_d >= 2 too, or
+one integer d.
 """
 
 from __future__ import annotations
@@ -120,10 +147,10 @@ def parse_target(text: str, p: int | None):
         raise ValueError(f"family {text!r} needs --prime")
     fld = fpcore.make_field(p)
     if text == "qr":
-        return fpcore.subgroup(fld, 2).elements, {"family": "qr", "d": 2}
+        return fpcore.subgroup(fld, 2), {"family": "qr", "d": 2}
     if text.startswith("subgroup:"):
         d = int(text.split(":", 1)[1])
-        return fpcore.subgroup(fld, d).elements, {"family": "subgroup", "d": d}
+        return fpcore.subgroup(fld, d), {"family": "subgroup", "d": d}
     if text == "primroots":
         n = p - 1
         roots = [fld.exp[k] for k in range(n) if math.gcd(k, n) == 1]
@@ -288,7 +315,7 @@ def _search_from_args(args) -> dict:
 
 
 def _search_sweep(cfg: dict, seed: int) -> list[dict]:
-    primes = _config_primes(cfg)
+    primes = _config_primes(cfg, 3)
     family = cfg.get("set", "qr")
     if family not in ("qr", "subgroup"):
         raise ConfigError(f"search sweep does not support set family {family!r}")
@@ -392,21 +419,14 @@ def _subgroup_grid(cfg: dict, d_filter: str, **extra) -> list[dict]:
     """Every (p, d) of the config; d_filter is the experiment's default."""
     return [
         {"p": p, "d": d, **extra}
-        for p in _config_primes(cfg)
-        for d in _d_options(p, cfg.get("d_filter", d_filter))
+        for p in _config_primes(cfg, 3)
+        for d in experiments.grid_divisors(p, cfg.get("d_filter", d_filter))
     ]
 
 
-def _p_bounds(cfg: dict) -> dict:
-    """Smallest and largest usable prime of p_range; seeded generators draw
-    the primes from max(5, p_min) to p_max."""
-    primes = _config_primes(cfg)
-    return {"p_min": primes[0], "p_max": primes[-1]}
-
-
 def _seeded(cfg: dict, seed: int) -> dict:
-    """The count, seed and prime-range arguments of a seeded instance generator."""
-    return {"count": cfg.get("samples", 100), "seed": seed, **_p_bounds(cfg)}
+    """The primes, count and seed arguments of a seeded instance generator."""
+    return {"primes": _config_primes(cfg, 5), "count": cfg.get("samples", 100), "seed": seed}
 
 
 class Experiment(NamedTuple):
@@ -467,11 +487,9 @@ EXPERIMENTS = {
         ("prime", "d", "shifts"),
         _shkvyu_from_args,
         lambda cfg, seed: experiments.shkvyu_instances(
-            seed,
-            **_p_bounds(cfg),
+            **_seeded(cfg, seed),
             order_cap=cfg.get("g_max", 30),
             ms=tuple(cfg.get("m", [2, 3])),
-            samples=cfg.get("samples", 100),
         ),
         lambda inst: shkvyu_report(inst["p"], inst["d"], inst["shifts"]).to_dict(),
     ),
@@ -512,20 +530,6 @@ def _run_task(task) -> dict:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _d_options(p: int, d_filter) -> list[int]:
-    divs = fpcore.divisors(p - 1)
-    if d_filter is None or d_filter == "all":
-        return [d for d in divs if d >= 2]
-    if d_filter in ("proper", "order>=2"):
-        # the same filter: for d | p - 1, d < p - 1 exactly when (p - 1) / d >= 2
-        return [d for d in divs if 2 <= d < p - 1]
-    try:
-        d = int(d_filter)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad d_filter {d_filter!r}") from None
-    return [d] if d in divs and d >= 1 else []
-
-
 def _load_config(path: str) -> dict:
     try:
         raw = Path(path).read_text()
@@ -542,7 +546,9 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _config_primes(cfg: dict) -> list[int]:
+def _config_primes(cfg: dict, least: int) -> list[int]:
+    """The primes p >= least in the config's p_range: least is 3 for a grid
+    over every p and 5 for seeded draws."""
     rng = cfg.get("p_range")
     if (
         not isinstance(rng, list)
@@ -551,9 +557,9 @@ def _config_primes(cfg: dict) -> list[int]:
     ):
         raise ConfigError("config field 'p_range' must be [lo, hi]")
     lo, hi = rng
-    primes = [p for p in fpcore.primes_up_to(hi) if p >= max(3, lo)]
+    primes = [p for p in fpcore.primes_up_to(hi) if p >= max(least, lo)]
     if not primes:
-        raise ConfigError(f"p_range {rng} contains no usable prime")
+        raise ConfigError(f"p_range {rng} contains no usable prime (p >= {least})")
     return primes
 
 

@@ -67,7 +67,6 @@ class DecompQuery:
     min_size: int = 2
     node_budget: int = 10**8
     time_budget: float = 300.0
-    b_size_cap: int | None = None
     max_witnesses: int = 1
     subgroup_d: int | None = None
 
@@ -78,8 +77,6 @@ class DecompQuery:
             raise ValueError("min_size must be >= 1")
         if self.node_budget < 1 or self.time_budget <= 0:
             raise ValueError("budgets must be positive")
-        if self.b_size_cap is not None and self.b_size_cap < 1:
-            raise ValueError("b_size_cap must be >= 1 when given")
         if self.max_witnesses < 1:
             raise ValueError("max_witnesses must be >= 1")
 
@@ -140,7 +137,6 @@ class _Ctx:
         "trans",
         "domain",
         "min_size",
-        "cap",
         "max_wit",
         "node_budget",
         "started",
@@ -171,7 +167,6 @@ class _Ctx:
         else:
             self.domain = list(range(1, p))
         self.min_size = query.min_size
-        self.cap = query.b_size_cap if query.b_size_cap is not None else p
         self.max_wit = query.max_witnesses
         self.node_budget = query.node_budget
         # decomposition and packing count the root B = {0} as a node
@@ -228,7 +223,7 @@ def _emit_pair(ctx, a_bits, b_list):
 def _dfs(ctx, b_list, a_bits, a_size, cands, start):
     """Extend B by the candidates cands[start:], which share the parent's list."""
     nb = len(b_list)
-    if nb > a_size or nb > ctx.cap:
+    if nb > a_size:
         return
     ms = ctx.min_size
     if nb >= ms and a_size >= ms and a_size * nb > ctx.floor:
@@ -243,7 +238,7 @@ def _dfs(ctx, b_list, a_bits, a_size, cands, start):
     n = len(cands) - start
     if n <= 0:
         return
-    bound_b = min(nb + n, a_size, ctx.cap)
+    bound_b = min(nb + n, a_size)
     if bound_b < ms or a_size * bound_b <= ctx.floor:
         return
     # Every candidate is examined below and the loop has no other effect,
@@ -267,7 +262,7 @@ def _dfs(ctx, b_list, a_bits, a_size, cands, start):
     feasible = False
     for j, tj in enumerate(sizes_desc, start=1):
         size_b = nb + j
-        if size_b > tj or size_b > ctx.cap:
+        if size_b > tj:
             break
         if size_b >= ms and tj * size_b > ctx.floor:
             feasible = True
@@ -311,9 +306,9 @@ def _coset_minima(query: DecompQuery) -> set[int] | None:
         return None
     p = query.S.p
     fld = fpcore.make_field(p)
-    if d < 2 or (p - 1) % d != 0:
-        raise ValueError(f"subgroup_d = {d} is not a proper divisor context for p = {p}")
-    if fpcore.subgroup(fld, d).elements != query.S:
+    if d < 1 or (p - 1) % d != 0:
+        raise ValueError(f"subgroup_d = {d} does not divide p - 1 = {p - 1}")
+    if fpcore.subgroup(fld, d) != query.S:
         raise ValueError("declared subgroup target does not match S")
     minima = {}
     for x in range(1, p):

@@ -18,8 +18,8 @@ import numpy as np
 from . import fpcore, polyfp
 from .charsum import Character, double_char_sum, karatsuba_envelope
 from .decomp import DecompQuery, max_packing
-from .errors import BadIndex, DuplicateShift, ZeroSetOnly
-from .fpcore import euler_phi, make_field, primes_up_to, subgroup, tau
+from .errors import BadIndex, ConfigError, DuplicateShift, ZeroSetOnly
+from .fpcore import euler_phi, make_field, subgroup, tau
 from .reports import BoundReport
 from .setalg import FpSet, affine, intersect_shifts, iterated_sumset, productset, sumset
 
@@ -113,11 +113,11 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
     length = len(b_elems)
     if length > _MAX_EXPANSION_SET:
         raise ValueError(f"#B = {length} too large for the 2**L expansion")
-    g_bits = sub.elements.bits
+    g_bits = sub.bits
 
     # (i) direct: each coset representative u has exactly d preimages x
     count = 0
-    for u in sub.elements:
+    for u in sub:
         if all(not (g_bits >> ((u - b) % p)) & 1 for b in b_elems):
             count += 1
     w_direct = d * count
@@ -133,7 +133,7 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
     star = [0] * p
     for v in range(1, p):
         star[v] = d - 1 if (g_bits >> v) & 1 else -1
-    u_elems = sub.elements.elements()
+    u_elems = sub.elements()
     remainder = Fraction(0)
     for ell in range(1, length + 1):
         sign = -1 if ell % 2 else 1
@@ -184,10 +184,10 @@ def n_count_report(p: int, d: int, b_star: FpSet) -> BoundReport:
         raise ValueError("B* must be nonempty")
     b_elems = b_star.elements()
     length = len(b_elems)
-    g_bits = sub.elements.bits
+    g_bits = sub.bits
 
     n_direct = 0
-    for u in sub.elements:
+    for u in sub:
         if all((g_bits >> ((u - b) % p)) & 1 for b in b_elems):
             n_direct += 1
 
@@ -231,11 +231,11 @@ def shkvyu_report(p: int, d: int, shifts) -> BoundReport:
         raise DuplicateShift(f"shifts repeat: {shifts}")
     if any(s == 0 for s in shifts):
         raise ValueError("shifts must be nonzero")
-    order = sub.order
+    order = len(sub)
     root = order ** (1 / (2 * m - 1))
     hypothesis_value = 4 * (m - 1) * order * (root + 1)
     hypothesis_ok = p >= hypothesis_value
-    lhs = len(intersect_shifts(sub.elements, shifts))
+    lhs = len(intersect_shifts(sub, shifts))
     rhs = 4 * m * (root + 1) ** m
     return BoundReport(
         experiment="shkvyu",
@@ -259,8 +259,7 @@ def growth_exponent_report(p: int, d: int, eps: float = DEFAULT_SIZE_EPSILON) ->
     whether a translate element hit zero, in which case the e >= 1 sanity
     floor is flagged rather than asserted.
     """
-    fld, sub = _validate_subgroup_args(p, d)
-    g = sub.elements
+    fld, g = _validate_subgroup_args(p, d)
     order = len(g)
     if order < 2:
         raise BadIndex(f"degenerate subgroup of order {order}")
@@ -298,7 +297,7 @@ def packing_bound_harness(
     product cap #A * #B <= p, plus envelope ratios at the maximizer."""
     fld, sub = _validate_subgroup_args(p, d)
     query = DecompQuery(
-        S=sub.elements,
+        S=sub,
         mode="packing",
         min_size=1,
         node_budget=node_budget,
@@ -342,9 +341,8 @@ def packing_bound_harness(
 
 def subgroup_ratio_report(p: int, d: int, nus=(1, 2, 3)) -> BoundReport:
     """Envelope ratios for the double sum over A = B = G_d; report-only."""
-    fld, sub = _validate_subgroup_args(p, d)
+    fld, g = _validate_subgroup_args(p, d)
     chi = Character(fld, d, 1)
-    g = sub.elements
     lhs = double_char_sum(chi, g, g).magnitude()
     ratios = {}
     for nu in nus:
@@ -445,10 +443,38 @@ def bourgain_report(p: int, a: FpSet, b: FpSet) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# seeded instance grids
+# instance grids: the indices d a grid takes at p, and the seeded draws.
+# Every generator takes the primes it may use (cli._config_primes picks
+# them from a sweep's p_range) and states no default of its own.
 
-def _rng(seed: int, label: str, index) -> random.Random:
-    return random.Random(f"{seed}:{label}:{index}")
+def grid_divisors(p: int, d_filter) -> list[int]:
+    """The indices d a grid takes at p, ascending: for "all" (or None) every
+    d >= 2 dividing p - 1; for "proper" and "order>=2" those with d < p - 1
+    as well (the same filter: for d | p - 1, d < p - 1 exactly when
+    #G_d >= 2); for an integer, d itself when it divides p - 1."""
+    divs = fpcore.divisors(p - 1)
+    if d_filter is None or d_filter == "all":
+        return [d for d in divs if d >= 2]
+    if d_filter in ("proper", "order>=2"):
+        return [d for d in divs if 2 <= d < p - 1]
+    try:
+        d = int(d_filter)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad d_filter {d_filter!r}") from None
+    return [d] if d in divs else []
+
+
+def _draws(primes: list[int], count: int, seed: int, label: str):
+    """(index, rng, p) for each of count seeded draws: the rng is keyed by
+    seed, label and index, and p is its first draw, from primes."""
+    for i in range(count):
+        rng = random.Random(f"{seed}:{label}:{i}")
+        yield i, rng, primes[rng.randrange(len(primes))]
+
+
+def _random_d(rng: random.Random, p: int) -> int:
+    options = grid_divisors(p, "all")
+    return options[rng.randrange(len(options))]
 
 
 def random_fpset(rng: random.Random, p: int, nonempty: bool = True) -> FpSet:
@@ -478,25 +504,8 @@ def random_small_fpset(
     return FpSet.from_elements(p, chosen)
 
 
-def _random_prime(rng: random.Random, primes: list[int]) -> int:
-    return primes[rng.randrange(len(primes))]
-
-
-def _random_d(rng: random.Random, p: int, at_least: int = 2) -> int:
-    options = [d for d in fpcore.divisors(p - 1) if d >= at_least]
-    return options[rng.randrange(len(options))]
-
-
-def _prime_pool(p_min: int, p_max: int) -> list[int]:
-    """The primes a seeded generator draws from: max(5, p_min) <= p <= p_max."""
-    return [p for p in primes_up_to(p_max) if p >= max(5, p_min)]
-
-
-def vinogradov_instances(count: int, seed: int, p_max: int = 499, *, p_min: int = 5):
-    primes = _prime_pool(p_min, p_max)
-    for i in range(count):
-        rng = _rng(seed, "vinogradov", i)
-        p = _random_prime(rng, primes)
+def vinogradov_instances(primes, count, seed):
+    for i, rng, p in _draws(primes, count, seed, "vinogradov"):
         d = _random_d(rng, p)
         j = rng.randint(1, d - 1)
         yield {
@@ -509,13 +518,8 @@ def vinogradov_instances(count: int, seed: int, p_max: int = 499, *, p_min: int 
         }
 
 
-def weil_instances(
-    count: int, seed: int, p_max: int = 997, deg_max: int = 6, *, p_min: int = 5
-):
-    primes = _prime_pool(p_min, p_max)
-    for i in range(count):
-        rng = _rng(seed, "weil", i)
-        p = _random_prime(rng, primes)
+def weil_instances(primes, count, seed, deg_max):
+    for i, rng, p in _draws(primes, count, seed, "weil"):
         d = _random_d(rng, p)
         units = [j for j in range(1, d) if math.gcd(j, d) == 1]
         j = units[rng.randrange(len(units))]
@@ -527,47 +531,34 @@ def weil_instances(
         yield {"index": i, "p": p, "d": d, "j": j, "poly": coeffs}
 
 
-def wsum_instances(count: int, seed: int, p_max: int = 199, b_max: int = 6, *, p_min: int = 5):
+def wsum_instances(primes, count, seed, b_max):
     """W-identity instances; B is drawn outside G_d so the main-term/
     remainder split is an exact identity (see w_identity_report)."""
-    primes = _prime_pool(p_min, p_max)
-    for i in range(count):
-        rng = _rng(seed, "wsum", i)
-        p = _random_prime(rng, primes)
+    for i, rng, p in _draws(primes, count, seed, "wsum"):
         d = _random_d(rng, p)
-        fld = make_field(p)
-        g_elems = set(subgroup(fld, d).elements)
+        g_elems = set(subgroup(make_field(p), d))
         b = random_small_fpset(rng, p, b_max, exclude=g_elems)
         yield {"index": i, "p": p, "d": d, "B": b}
 
 
-def nsum_instances(count: int, seed: int, p_max: int = 199, b_max: int = 6, *, p_min: int = 5):
-    primes = _prime_pool(p_min, p_max)
-    for i in range(count):
-        rng = _rng(seed, "nsum", i)
-        p = _random_prime(rng, primes)
+def nsum_instances(primes, count, seed, b_max):
+    for i, rng, p in _draws(primes, count, seed, "nsum"):
         d = _random_d(rng, p)
         yield {"index": i, "p": p, "d": d, "B": random_small_fpset(rng, p, b_max)}
 
 
-def shkvyu_instances(
-    seed: int,
-    p_max: int = 2003,
-    order_cap: int = 30,
-    ms=(2, 3),
-    samples: int = 100,
-    *,
-    p_min: int = 5,
-):
-    for p in _prime_pool(p_min, p_max):
-        for d in fpcore.divisors(p - 1):
-            if d < 2 or (p - 1) // d > order_cap:
+def shkvyu_instances(primes, count, seed, order_cap, ms):
+    """count shift samples for each p, each d with #G_d <= order_cap and each
+    m in ms (m <= p - 1), numbered within their (p, d, m)."""
+    for p in primes:
+        for d in grid_divisors(p, "all"):
+            if (p - 1) // d > order_cap:
                 continue
             for m in ms:
                 if m > p - 1:
                     continue
-                rng = _rng(seed, "shkvyu", f"{p}:{d}:{m}")
-                for s in range(samples):
+                rng = random.Random(f"{seed}:shkvyu:{p}:{d}:{m}")
+                for s in range(count):
                     shifts: set[int] = set()
                     while len(shifts) < m:
                         shifts.add(rng.randint(1, p - 1))
@@ -580,13 +571,8 @@ def shkvyu_instances(
                     }
 
 
-def bourgain_instances(
-    count: int, seed: int, p_max: int = 61, size_max: int = 6, *, p_min: int = 5
-):
-    primes = _prime_pool(p_min, p_max)
-    for i in range(count):
-        rng = _rng(seed, "bourgain", i)
-        p = _random_prime(rng, primes)
+def bourgain_instances(primes, count, seed, size_max):
+    for i, rng, p in _draws(primes, count, seed, "bourgain"):
         while True:
             a = random_small_fpset(rng, p, size_max)
             b = random_small_fpset(rng, p, size_max)
@@ -595,11 +581,8 @@ def bourgain_instances(
         yield {"index": i, "p": p, "A": a, "B": b}
 
 
-def interval_instances(count: int, seed: int, p_max: int = 101, *, p_min: int = 5):
-    primes = _prime_pool(p_min, p_max)
-    for i in range(count):
-        rng = _rng(seed, "interval", i)
-        p = _random_prime(rng, primes)
+def interval_instances(primes, count, seed):
+    for i, rng, p in _draws(primes, count, seed, "interval"):
         m = rng.randrange(p)
         n = rng.randint(1, p)
         a = random_small_fpset(rng, p, p - 1, exclude=(0,))
@@ -607,11 +590,8 @@ def interval_instances(count: int, seed: int, p_max: int = 101, *, p_min: int = 
         yield {"index": i, "p": p, "m": m, "n": n, "A": a, "B": b}
 
 
-def conjugation_instances(count: int, seed: int, p_max: int = 199):
-    primes = [p for p in primes_up_to(p_max) if p >= 5]
-    for i in range(count):
-        rng = _rng(seed, "conjugation", i)
-        p = _random_prime(rng, primes)
+def conjugation_instances(primes, count, seed):
+    for i, rng, p in _draws(primes, count, seed, "conjugation"):
         yield {
             "index": i,
             "p": p,
@@ -620,27 +600,11 @@ def conjugation_instances(count: int, seed: int, p_max: int = 199):
         }
 
 
-def setalg_oracle_instances(count: int, seed: int, p_max: int = 199):
-    primes = [p for p in primes_up_to(p_max) if p >= 3]
-    for i in range(count):
-        rng = _rng(seed, "setoracle", i)
-        p = _random_prime(rng, primes)
+def setalg_oracle_instances(primes, count, seed):
+    for i, rng, p in _draws(primes, count, seed, "setoracle"):
         yield {
             "index": i,
             "p": p,
             "A": random_fpset(rng, p, nonempty=False),
             "B": random_fpset(rng, p, nonempty=False),
         }
-
-
-def subgroup_grid(p_max: int, min_order: int = 1, d_min: int = 2):
-    """All (p, d) with d | p-1, d >= d_min, and subgroup order >= min_order."""
-    for p in primes_up_to(p_max):
-        if p < 3:
-            continue
-        for d in fpcore.divisors(p - 1):
-            if d < d_min:
-                continue
-            if (p - 1) // d < min_order:
-                continue
-            yield p, d

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadIndex, CompositeModulus, ModulusTooLarge, ZeroHasNoLog
+from .setalg import FpSet, bits_from
 
 MODULUS_CAP = 1 << 20
 
@@ -140,7 +141,7 @@ class PrimeField:
         self.dlog = dlog
         self.exp = exp
         self._dlog_np = None
-        self._subgroups: dict[int, Subgroup] = {}
+        self._subgroups: dict[int, FpSet] = {}
 
     def __repr__(self):
         return f"PrimeField(p={self.p}, g={self.g})"
@@ -267,38 +268,14 @@ def dlog(fld: PrimeField, x: int) -> int:
     return fld.dlog_of(x)
 
 
-class Subgroup:
-    """The group G_d of d-th powers in F_p^*, d a divisor of p-1."""
-
-    __slots__ = ("field", "d", "elements")
-
-    def __init__(self, field: PrimeField, d: int, elements):
-        self.field = field
-        self.d = d
-        self.elements = elements
-
-    def __repr__(self):
-        return f"Subgroup(p={self.field.p}, d={self.d}, order={len(self.elements)})"
-
-    def __contains__(self, x: int) -> bool:
-        x %= self.field.p
-        return x != 0 and self.field.dlog[x] % self.d == 0
-
-    @property
-    def order(self) -> int:
-        return (self.field.p - 1) // self.d
-
-
-def subgroup(fld: PrimeField, d: int) -> Subgroup:
+def subgroup(fld: PrimeField, d: int) -> FpSet:
     """G_d = {x**d : x in F_p^*} = {g**k : d | k}, memoized per (field, d)."""
-    from .setalg import FpSet, bits_from
-
     p = fld.p
     d = operator.index(d)
     if d < 1 or (p - 1) % d != 0:
         raise BadIndex(f"d = {d} does not divide p-1 = {p - 1}")
     sub = fld._subgroups.get(d)
     if sub is None:
-        sub = Subgroup(fld, d, FpSet(p, bits_from(fld.exp[::d], p)))
+        sub = FpSet(p, bits_from(fld.exp[::d], p))
         fld._subgroups[d] = sub
     return sub

@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from ffdecomp import cli
+from ffdecomp.fpcore import primes_up_to
 from ffdecomp.setalg import FpSet, cyclic_shift
 
 
@@ -34,6 +35,11 @@ def in_process_pools(monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     return pools
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """The primes lo <= p <= hi, the list a seeded generator draws from."""
+    return [p for p in primes_up_to(hi) if p >= lo]
 
 
 def naive_sumset(a: FpSet, b: FpSet) -> set:

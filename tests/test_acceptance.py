@@ -18,6 +18,7 @@ import pytest
 
 from conftest import (
     naive_productset,
+    primes_between,
     naive_sumset,
     oracle_decomposition_exists_normalized,
 )
@@ -29,6 +30,7 @@ from ffdecomp.experiments import (
     bourgain_instances,
     bourgain_report,
     conjugation_instances,
+    grid_divisors,
     growth_exponent_report,
     interval_instances,
     interval_mult_report,
@@ -38,7 +40,6 @@ from ffdecomp.experiments import (
     setalg_oracle_instances,
     shkvyu_instances,
     shkvyu_report,
-    subgroup_grid,
     subgroup_ratio_report,
     vinogradov_instances,
     weil_instances,
@@ -55,6 +56,11 @@ def _pass(n, text):
     print(f"criterion {n:02d} PASS: {text}")
 
 
+def _subgroups(p_max):
+    """Every (p, d) with 5 <= p <= p_max and d >= 2 dividing p - 1."""
+    return [(p, d) for p in primes_between(5, p_max) for d in grid_divisors(p, "all")]
+
+
 def test_criterion_01_indicator_identity():
     checked = 0
     for p in primes_up_to(499):
@@ -69,7 +75,7 @@ def test_criterion_01_indicator_identity():
 
 def test_criterion_02_weil_bound():
     count = 0
-    for inst in weil_instances(200, seed=SEED, p_max=997, deg_max=6):
+    for inst in weil_instances(primes_between(5, 997), 200, SEED, deg_max=6):
         fld = make_field(inst["p"])
         rep = weil_report(Character(fld, inst["d"], inst["j"]), inst["poly"])
         assert rep.hypothesis_ok, inst
@@ -84,7 +90,7 @@ def test_criterion_02_weil_bound():
 
 def test_criterion_03_vinogradov_bound():
     count = 0
-    for inst in vinogradov_instances(500, seed=SEED, p_max=499):
+    for inst in vinogradov_instances(primes_between(5, 499), 500, SEED):
         fld = make_field(inst["p"])
         rep = vinogradov_check(Character(fld, inst["d"], inst["j"]), inst["A"], inst["B"])
         assert rep.ok, inst
@@ -97,7 +103,7 @@ def test_criterion_04_sarkozy_quadratic_residues():
     for p in primes_up_to(37):
         if p < 5:
             continue
-        s = subgroup(make_field(p), 2).elements
+        s = subgroup(make_field(p), 2)
         r = run_query(DecompQuery(S=s, mode="decomposition", subgroup_d=2))
         assert r.status == "exhausted_none", (p, r.status)
     _pass(4, "quadratic residues indecomposable for all 5 <= p <= 37 (exhaustive)")
@@ -111,7 +117,7 @@ def test_criterion_04_sarkozy_all_subgroups():
         for d in divisors(p - 1)
         if 2 <= d < p - 1
     ]
-    targets = {(p, d): subgroup(make_field(p), d).elements for p, d in pairs}
+    targets = {(p, d): subgroup(make_field(p), d) for p, d in pairs}
 
     # closed form: an order-4 subgroup is {1, i, -1, -i} with i^2 = -1, and
     # {1, -i} + {0, i - 1} = {1, i, -i, -1} is a split with both parts of size 2
@@ -153,7 +159,7 @@ def test_criterion_05_shkredov_self_decomposition():
     for p in primes_up_to(61):
         if p < 5:
             continue
-        s = subgroup(make_field(p), 2).elements
+        s = subgroup(make_field(p), 2)
         r = run_query(DecompQuery(S=s, mode="self_decomposition", subgroup_d=2))
         assert r.status == "exhausted_none", (p, r.status)
     _pass(5, "no A with A+A = QR(p) for any 5 <= p <= 61 (exhaustive)")
@@ -161,9 +167,7 @@ def test_criterion_05_shkredov_self_decomposition():
 
 def test_criterion_06_packing_corollary():
     checked = 0
-    for p, d in subgroup_grid(199, d_min=2):
-        if p < 5:
-            continue
+    for p, d in _subgroups(199):
         rep = packing_bound_harness(p, d)
         assert rep.extras["status"] == "found", (p, d)
         assert rep.ok, (p, d, rep.lhs)
@@ -173,11 +177,11 @@ def test_criterion_06_packing_corollary():
 
 
 def test_criterion_07_w_n_identity_suite():
-    for inst in wsum_instances(100, seed=SEED, p_max=199, b_max=6):
+    for inst in wsum_instances(primes_between(5, 199), 100, SEED, b_max=6):
         rep = w_identity_report(inst["p"], inst["d"], inst["B"])
         assert rep.hypothesis_ok and rep.ok, inst
         assert rep.extras["formula_gap"] == 0.0, inst
-    for inst in nsum_instances(100, seed=SEED, p_max=199, b_max=6):
+    for inst in nsum_instances(primes_between(5, 199), 100, SEED, b_max=6):
         rep = n_count_report(inst["p"], inst["d"], inst["B"])
         assert rep.ok, inst
     closed = w_identity_report(7, 2, FpSet.from_elements(7, [3, 5]))
@@ -188,7 +192,7 @@ def test_criterion_07_w_n_identity_suite():
 def test_criterion_08_shifted_subgroup_intersections():
     total = 0
     gated = 0
-    for inst in shkvyu_instances(seed=SEED, p_max=2003, order_cap=30, ms=(2, 3), samples=100):
+    for inst in shkvyu_instances(primes_between(5, 2003), 100, SEED, order_cap=30, ms=(2, 3)):
         rep = shkvyu_report(inst["p"], inst["d"], inst["shifts"])
         total += 1
         if rep.hypothesis_ok:
@@ -200,7 +204,7 @@ def test_criterion_08_shifted_subgroup_intersections():
 
 def test_criterion_09_bourgain_inequality():
     count = 0
-    for inst in bourgain_instances(200, seed=SEED, p_max=61, size_max=6):
+    for inst in bourgain_instances(primes_between(5, 61), 200, SEED, size_max=6):
         rep = bourgain_report(inst["p"], inst["A"], inst["B"])
         assert rep.ok, inst
         count += 1
@@ -210,7 +214,7 @@ def test_criterion_09_bourgain_inequality():
 
 def test_criterion_10_interval_products():
     count = 0
-    for inst in interval_instances(200, seed=SEED, p_max=101):
+    for inst in interval_instances(primes_between(5, 101), 200, SEED):
         rep = interval_mult_report(inst["p"], inst["m"], inst["n"], inst["A"], inst["B"])
         assert rep.ok, inst
         count += 1
@@ -224,7 +228,7 @@ def test_criterion_10_interval_products():
 
 def test_criterion_11_conjugation_identity():
     count = 0
-    for inst in conjugation_instances(500, seed=SEED, p_max=199):
+    for inst in conjugation_instances(primes_between(5, 199), 500, SEED):
         p, a, b = inst["p"], inst["A"], inst["b"]
         direct = productset(a, affine(a, 1, b))
         binv = pow(b, -1, p)
@@ -238,7 +242,7 @@ def test_criterion_11_conjugation_identity():
 
 def test_criterion_12_setalg_oracle_equivalence():
     count = 0
-    for inst in setalg_oracle_instances(1000, seed=SEED, p_max=199):
+    for inst in setalg_oracle_instances(primes_between(3, 199), 1000, SEED):
         a, b = inst["A"], inst["B"]
         assert set(sumset(a, b)) == naive_sumset(a, b), inst
         assert set(productset(a, b)) == naive_productset(a, b), inst
@@ -279,9 +283,7 @@ def test_criterion_13_worker_determinism(tmp_path):
 def test_criterion_14_report_metrics_exist_and_are_sane():
     growth_count = 0
     ratio_count = 0
-    for p, d in subgroup_grid(499, d_min=2):
-        if p < 5:
-            continue
+    for p, d in _subgroups(499):
         order = (p - 1) // d
         rep = subgroup_ratio_report(p, d)
         ratios = rep.extras["ratios"]

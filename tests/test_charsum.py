@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import primes_between
 from ffdecomp.charsum import (
     Character,
     RootOfUnityTally,
@@ -137,7 +138,7 @@ def test_weil_examples():
 def test_weil_random_admissible():
     from ffdecomp.experiments import weil_instances
 
-    for inst in weil_instances(60, seed=7, p_max=499):
+    for inst in weil_instances(primes_between(5, 499), 60, 7, deg_max=6):
         fld = make_field(inst["p"])
         rep = weil_report(Character(fld, inst["d"], inst["j"]), inst["poly"])
         assert rep.hypothesis_ok and rep.ok, inst

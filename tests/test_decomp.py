@@ -30,7 +30,7 @@ def fpset(p, *elems):
 
 
 def qr(p):
-    return subgroup(make_field(p), 2).elements
+    return subgroup(make_field(p), 2)
 
 
 def test_max_companion_examples():
@@ -115,16 +115,46 @@ def test_packing_examples():
 
 
 def test_packing_with_no_admissible_pair_reports_no_witness():
-    # No pair A, B with min(#A, #B) >= 3 fits when #B <= 2: the search covers
-    # the whole space and must say so instead of claiming a find.
+    # No pair A, B with min(#A, #B) >= 3 has A + B inside the quadratic
+    # residues mod 13: the search covers the whole space and must say so
+    # instead of claiming a find.
     s = qr(13)
-    query = DecompQuery(S=s, mode="packing", min_size=3, b_size_cap=2, subgroup_d=2)
+    query = DecompQuery(S=s, mode="packing", min_size=3, subgroup_d=2)
     r = run_query(query)
     assert r.status == "exhausted_none" and not r.witnesses
     assert r.extras["product"] == 0
-    r = run_query(DecompQuery(S=s, mode="packing", min_size=3, b_size_cap=2,
-                              subgroup_d=2, node_budget=1))
+    assert oracle_max_packing(s) < 9  # so no pair of two 3-sets fits
+    r = run_query(DecompQuery(S=s, mode="packing", min_size=3, subgroup_d=2, node_budget=1))
     assert r.status == "budget_exceeded" and not r.witnesses
+
+
+def test_full_unit_group_as_declared_subgroup_matches_the_literal_search():
+    # d = 1 declares S = F_p^* = G_1: its one coset has minimum 1, so the
+    # quotient searches one partition.  Status and packing product must match
+    # the undeclared search and the brute-force oracles.
+    for p in (5, 7, 11, 13):
+        s = subgroup(make_field(p), 1)
+        assert s == FpSet.nonzero(p)
+        for mode, min_size in (("decomposition", 2), ("self_decomposition", 2), ("packing", 1)):
+            declared = run_query(DecompQuery(S=s, mode=mode, min_size=min_size, subgroup_d=1))
+            literal = run_query(DecompQuery(S=s, mode=mode, min_size=min_size))
+            assert declared.status == literal.status, (p, mode)
+            assert declared.extras == literal.extras, (p, mode)
+            assert declared.nodes_explored <= literal.nodes_explored, (p, mode)
+        r = run_query(DecompQuery(S=s, mode="decomposition", subgroup_d=1))
+        assert (r.status == "found") == oracle_decomposition_exists(s), p
+        for a, b in r.witnesses:
+            assert naive_sumset(a, b) == set(s), p
+        r = run_query(DecompQuery(S=s, mode="self_decomposition", subgroup_d=1))
+        assert (r.status == "found") == oracle_self_exists(s), p
+        for a, b in r.witnesses:
+            assert naive_sumset(a, b) == set(s), p
+        r = run_query(DecompQuery(S=s, mode="packing", min_size=1, subgroup_d=1))
+        assert r.extras["product"] == oracle_max_packing(s), p
+        (a, b), = r.witnesses
+        assert len(a) * len(b) == r.extras["product"] and naive_sumset(a, b) <= set(s), p
+    with pytest.raises(ValueError):
+        run_query(DecompQuery(S=FpSet.nonzero(7), mode="decomposition", subgroup_d=0))
 
 
 def test_engine_matches_bruteforce_on_random_targets():
@@ -153,7 +183,7 @@ def test_engine_matches_bruteforce_on_subgroups():
         for d in divisors(p - 1):
             if d < 2:
                 continue
-            s = subgroup(make_field(p), d).elements
+            s = subgroup(make_field(p), d)
             exists = oracle_decomposition_exists(s)
             assert oracle_decomposition_exists_normalized(s) == exists, (p, d)
             r = run_query(DecompQuery(S=s, mode="decomposition", subgroup_d=d))
@@ -253,7 +283,7 @@ def test_worker_partitioning_is_deterministic():
     for fields in (
         dict(S=qr(13), mode="decomposition", subgroup_d=2),
         dict(S=qr(13), mode="self_decomposition", subgroup_d=2),
-        dict(S=subgroup(make_field(13), 3).elements, mode="decomposition", subgroup_d=3),
+        dict(S=subgroup(make_field(13), 3), mode="decomposition", subgroup_d=3),
         dict(S=fpset(13, 1, 2, 4, 5, 8), mode="decomposition"),
         dict(S=qr(17), mode="packing", min_size=1, subgroup_d=2),
     ):

@@ -1,12 +1,16 @@
+import inspect
 import math
 import random
 
 import pytest
 
-from ffdecomp.errors import BadIndex, DuplicateShift, ZeroSetOnly
+from conftest import primes_between
+from ffdecomp import experiments
+from ffdecomp.errors import BadIndex, ConfigError, DuplicateShift, ZeroSetOnly
 from ffdecomp.experiments import (
     bourgain_report,
     gd_low_value,
+    grid_divisors,
     growth_exponent_report,
     interval_mult_report,
     interval_set,
@@ -55,7 +59,7 @@ def test_w_identity_direct_count_oracle():
 
         d = rng.choice([d for d in divisors(p - 1) if d >= 2])
         b = fpset(p, *rng.sample(range(p), rng.randint(1, 4)))
-        g = set(subgroup(fld, d).elements)
+        g = set(subgroup(fld, d))
         expect = d * sum(
             1 for u in g if all((u - x) % p not in g for x in b)
         )
@@ -75,8 +79,8 @@ def test_w_identity_formula_needs_collision_free_b():
 
 
 def test_wsum_instances_are_collision_free():
-    for inst in wsum_instances(30, seed=5):
-        g = subgroup(make_field(inst["p"]), inst["d"]).elements
+    for inst in wsum_instances(primes_between(5, 199), 30, 5, b_max=6):
+        g = subgroup(make_field(inst["p"]), inst["d"])
         assert inst["B"].bits & g.bits == 0
 
 
@@ -95,7 +99,7 @@ def test_n_count_examples():
 
         d = rng.choice([d for d in divisors(p - 1) if d >= 2])
         b = fpset(p, *rng.sample(range(p), rng.randint(1, 4)))
-        g = set(subgroup(make_field(p), d).elements)
+        g = set(subgroup(make_field(p), d))
         expect = sum(1 for u in g if all((u - x) % p in g for x in b))
         rep = n_count_report(p, d, b)
         assert rep.extras["N"] == expect and rep.ok
@@ -213,3 +217,22 @@ def test_bourgain_examples():
         bourgain_report(7, fpset(7, 0), fpset(7, 1, 2))
     with pytest.raises(ValueError):
         bourgain_report(7, FpSet.empty(7), fpset(7, 1))
+
+
+def test_grid_divisors():
+    assert grid_divisors(13, "all") == grid_divisors(13, None) == [2, 3, 4, 6, 12]
+    assert grid_divisors(13, "proper") == grid_divisors(13, "order>=2") == [2, 3, 4, 6]
+    assert grid_divisors(13, 3) == [3] and grid_divisors(13, 1) == [1]
+    assert grid_divisors(13, 5) == []
+    assert grid_divisors(3, "all") == [2] and grid_divisors(3, "proper") == []
+    with pytest.raises(ConfigError):
+        grid_divisors(13, "bogus")
+
+
+def test_instance_generators_state_no_defaults():
+    # every default lives in the sweep config reader, cli.EXPERIMENTS
+    generators = [f for name, f in vars(experiments).items() if name.endswith("_instances")]
+    assert len(generators) == 9
+    for gen in generators:
+        params = inspect.signature(gen).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), gen.__name__
