@@ -1,17 +1,17 @@
 """Additive decompositions of multiplicative subgroups of prime fields.
 
-Library surface: prime-field contexts with full discrete-log tables,
-bitset subsets of Z_p with exact set algebra, multiplicative characters
-with exact root-of-unity tallies, a pruned exhaustive search engine for
-decompositions S = A + B, and one verifier per supporting estimate.
+Library surface, the names the CLI and the reports run: prime-field
+contexts with full discrete-log tables, bitset subsets of Z_p with exact
+set algebra (product sets in discrete-log space, so they take the field),
+multiplicative characters with exact root-of-unity tallies, a pruned
+exhaustive search engine for decompositions S = A + B, and one verifier
+per supporting estimate.
 """
 
 from .charsum import (
     Character,
     RootOfUnityTally,
-    char_eval,
     double_char_sum,
-    interval_exp_sum,
     karatsuba_ratio,
     poly_char_sum,
     vinogradov_check,
@@ -22,7 +22,6 @@ from .decomp import (
     DecompReport,
     find_additive_decompositions,
     find_self_decomposition,
-    max_companion,
     max_packing,
     run_query,
 )
@@ -31,14 +30,12 @@ from .errors import (
     CompositeModulus,
     ConfigError,
     DuplicateShift,
-    EmptyB,
     FFDecompError,
     MixedModulus,
     ModulusTooLarge,
-    ZeroHasNoLog,
     ZeroSetOnly,
 )
-from .fpcore import PrimeField, dlog, make_field, subgroup
+from .fpcore import PrimeField, make_field, subgroup
 from .reports import BoundReport
 from .setalg import (
     FpSet,

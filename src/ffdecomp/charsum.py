@@ -16,9 +16,9 @@ import numpy as np
 
 from . import polyfp
 from .errors import BadIndex
-from .fpcore import PrimeField, subgroup
+from .fpcore import PrimeField
 from .reports import BoundReport
-from .setalg import FpSet, bits_from
+from .setalg import FpSet
 
 MAGNITUDE_TOL = 1e-6
 
@@ -50,18 +50,6 @@ class Character:
     def order(self) -> int:
         return self.d // math.gcd(self.j, self.d)
 
-    def __call__(self, x: int):
-        return char_eval(self, x)
-
-
-def char_eval(chi: Character, x: int):
-    """Root-of-unity index of chi(x), or None for the zero element."""
-    p = chi.field.p
-    x %= p
-    if x == 0:
-        return None
-    return chi.j * chi.field.dlog[x] % chi.d
-
 
 class RootOfUnityTally:
     """Exact accumulator: counts[r] summands equal to zeta_d**r, plus zeros.
@@ -76,12 +64,6 @@ class RootOfUnityTally:
         self.d = d
         self.counts = [0] * d
         self.zeros = 0
-
-    def add(self, index, times: int = 1) -> None:
-        if index is None:
-            self.zeros += times
-        else:
-            self.counts[index] += times
 
     def total(self) -> int:
         return sum(self.counts) + self.zeros
@@ -99,70 +81,8 @@ class RootOfUnityTally:
     def magnitude(self) -> float:
         return abs(self.value())
 
-    def exact_int(self):
-        """Exact integer value when the count pattern makes one recognizable.
-
-        Covers the patterns arising from full character-group sums: counts
-        constant on the multiples of some g | d and zero elsewhere (value 0
-        unless the support is just {0}).  Returns None otherwise.
-        """
-        support = [r for r, c in enumerate(self.counts) if c]
-        if not support:
-            return 0
-        if support == [0]:
-            return self.counts[0]
-        g = 0
-        for r in support:
-            g = math.gcd(g, r)
-        g = math.gcd(g, self.d)
-        expected = list(range(0, self.d, g))
-        if support != expected:
-            return None
-        level = self.counts[support[0]]
-        if any(self.counts[r] != level for r in support):
-            return None
-        return 0  # level * (sum of all (d/g)-th roots of unity), d/g > 1
-
     def __repr__(self):
         return f"RootOfUnityTally(d={self.d}, counts={self.counts}, zeros={self.zeros})"
-
-
-def indicator_tally(fld: PrimeField, d: int, v: int) -> RootOfUnityTally:
-    """Tally of sum over all chi in X_d of chi(v)."""
-    if (fld.p - 1) % d != 0:
-        raise BadIndex(f"d = {d} does not divide p-1 = {fld.p - 1}")
-    tally = RootOfUnityTally(d)
-    v %= fld.p
-    if v == 0:
-        tally.zeros += d
-        return tally
-    k = fld.dlog[v]
-    for j in range(d):
-        tally.counts[j * k % d] += 1
-    return tally
-
-
-def indicator_identity_holds(fld: PrimeField, d: int) -> bool:
-    """Exact check of d * [v in G_d] == sum over X_d of chi(v), all v != 0.
-
-    Works per discrete-log class: the tally depends on v only through
-    dlog(v) mod d, and its exact integer value must be d on the class of
-    d-th powers and 0 elsewhere.
-    """
-    sub = subgroup(fld, d)
-    # Membership table must match the dlog divisibility criterion.
-    dl = fld.dlog
-    member_bits = bits_from([x for x in range(1, fld.p) if dl[x] % d == 0], fld.p)
-    if member_bits != sub.bits:
-        return False
-    for k_class in range(d):
-        tally = RootOfUnityTally(d)
-        for j in range(d):
-            tally.counts[j * k_class % d] += 1
-        val = tally.exact_int()
-        if val != (d if k_class == 0 else 0):
-            return False
-    return True
 
 
 def poly_char_sum(chi: Character, coeffs: list[int]) -> RootOfUnityTally:
@@ -295,25 +215,3 @@ def karatsuba_ratio(chi: Character, a: FpSet, b: FpSet, nu: int) -> BoundReport:
         rhs=envelope,
         extras={"ratio": ratio},
     )
-
-
-def interval_exp_sum(p: int, m: int, n: int, lam: int) -> float:
-    """|sum of e_p(lam * u) over the interval u = m+1 .. m+n|.
-
-    Uses the closed geometric form |sin(pi*lam*n/p) / sin(pi*lam/p)| for
-    lam != 0 (the translate by m only rotates the phase), and n for lam = 0.
-    The linear-sum bound p/|lam| is asserted for 1 <= |lam| <= (p-1)/2.
-    """
-    if not 1 <= n <= p:
-        raise ValueError(f"interval length must be in [1, p], got {n}")
-    lam_red = lam % p
-    if lam_red == 0:
-        return float(n)
-    num = abs(math.sin(math.pi * lam_red * n / p))
-    den = abs(math.sin(math.pi * lam_red / p))
-    magnitude = num / den
-    signed = lam_red if lam_red <= (p - 1) // 2 else lam_red - p
-    if abs(signed) <= (p - 1) // 2:
-        if magnitude > p / abs(signed) + 1e-9:
-            raise AssertionError(f"linear exponential sum bound violated: p={p}, lam={signed}")
-    return magnitude

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import fpcore
-from .errors import EmptyB
+from .errors import ModulusTooLarge
 from .reports import json_ready
 from .setalg import FpSet, bit_elements, cyclic_shift
 
@@ -50,6 +50,10 @@ _MODES = (MODE_DECOMPOSITION, MODE_SELF, MODE_PACKING)
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted_none"
 STATUS_BUDGET = "budget_exceeded"
+
+# The S - c table holds p rows of p bits, p**2/8 bytes; a search whose table
+# would exceed this (p > 92681) is refused rather than run out of memory.
+TABLE_BYTES_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -101,19 +105,6 @@ class DecompReport:
             "elapsed": self.elapsed,
             "extras": json_ready(self.extras),
         }
-
-
-def max_companion(s: FpSet, b: FpSet) -> FpSet:
-    """The unique maximal A with A + B contained in S: intersection of S - b."""
-    if b.bits == 0:
-        raise EmptyB("companion of the empty set is unconstrained")
-    p = s.p
-    out = (1 << p) - 1
-    for elem in b:
-        out &= cyclic_shift(s.bits, p - elem, p)
-        if not out:
-            break
-    return FpSet(p, out)
 
 
 class _Stop(Exception):
@@ -344,6 +335,10 @@ def _run(query: DecompQuery, mode: str) -> DecompReport:
             ctx.accept(query.S, FpSet.from_elements(p, [0]))
         # when deciding, #(A+B) >= max(#A, #B) >= min_size must not exceed #S
         if mode != MODE_DECOMPOSITION or len(query.S) >= query.min_size:
+            if p * p // 8 > TABLE_BYTES_CAP:
+                raise ModulusTooLarge(
+                    f"p = {p}: a search table of p**2/8 bytes exceeds the 1 GiB cap (p <= 92681)"
+                )
             ctx.trans = [cyclic_shift(ctx.s_bits, (p - c) % p, p) for c in range(p)]
             for i, first in enumerate(ctx.domain):
                 if minima is None or first in minima:

@@ -15,11 +15,8 @@ class CompositeModulus(FFDecompError):
 
 
 class ModulusTooLarge(FFDecompError):
-    """The modulus exceeds the table-based discrete-log cap (2**20)."""
-
-
-class ZeroHasNoLog(FFDecompError):
-    """Discrete logarithm requested for the zero element."""
+    """The modulus exceeds a table cap: 2**20 for the discrete-log tables,
+    and p**2/8 bytes <= 1 GiB (p <= 92681) for a search's S - c table."""
 
 
 class BadIndex(FFDecompError):
@@ -27,15 +24,12 @@ class BadIndex(FFDecompError):
 
 
 class MixedModulus(FFDecompError):
-    """Binary set operation applied to sets over different ambient moduli."""
+    """Binary set operation applied to sets over different ambient moduli,
+    or to a field of another modulus."""
 
 
 class DuplicateShift(FFDecompError):
     """Shift list contains a repeated element."""
-
-
-class EmptyB(FFDecompError):
-    """Companion computation requires a nonempty translate set."""
 
 
 class ZeroSetOnly(FFDecompError):

@@ -55,13 +55,6 @@ def gd_low_value(p: int, d: int) -> float:
     return 2 * math.sqrt(p) * math.log(d) / (d * d * math.log(p))
 
 
-def lstar(p: int, d: int) -> int:
-    """ceil(log(sqrt(p)/d) / log d); can be <= 0 when sqrt(p) < d."""
-    if d < 3:
-        raise BadIndex("the exponent threshold is defined for d >= 3")
-    return math.ceil(math.log(math.sqrt(p) / d) / math.log(d))
-
-
 # ---------------------------------------------------------------------------
 # membership-product identities
 
@@ -421,13 +414,14 @@ def interval_mult_report(p: int, m: int, n: int, a: FpSet, b: FpSet) -> BoundRep
 def bourgain_report(p: int, a: FpSet, b: FpSet) -> BoundReport:
     """Difference-set growth of the 8-fold sumset of A*B against
     min(#A * #B, p - 1) / 2; constant-free, always asserted."""
+    fld = make_field(p)
     if a.p != p or b.p != p:
         raise BadIndex("sets must share the modulus")
     if a.bits == 0 or b.bits == 0:
         raise ValueError("A and B must be nonempty")
     if a.bits == 1 or b.bits == 1:
         raise ZeroSetOnly("operand equals {0}")
-    ab = productset(a, b)
+    ab = productset(a, b, fld)
     eight = iterated_sumset(ab, 8)
     diff = sumset(eight, affine(eight, -1, 0))
     lhs = len(diff)
@@ -477,13 +471,14 @@ def _random_d(rng: random.Random, p: int) -> int:
     return options[rng.randrange(len(options))]
 
 
-def random_fpset(rng: random.Random, p: int, nonempty: bool = True) -> FpSet:
-    """Random subset with mixed density (each AND halves the expected size)."""
+def random_fpset(rng: random.Random, p: int) -> FpSet:
+    """Random nonempty subset with mixed density (each AND halves the
+    expected size)."""
     bits = rng.getrandbits(p)
     for _ in range(rng.randint(0, 3)):
         bits &= rng.getrandbits(p)
     bits &= (1 << p) - 1
-    if nonempty and bits == 0:
+    if bits == 0:
         bits = 1 << rng.randrange(p)
     return FpSet(p, bits)
 
@@ -589,22 +584,3 @@ def interval_instances(primes, count, seed):
         b = random_small_fpset(rng, p, p - 1, exclude=(0,))
         yield {"index": i, "p": p, "m": m, "n": n, "A": a, "B": b}
 
-
-def conjugation_instances(primes, count, seed):
-    for i, rng, p in _draws(primes, count, seed, "conjugation"):
-        yield {
-            "index": i,
-            "p": p,
-            "A": random_fpset(rng, p),
-            "b": rng.randint(1, p - 1),
-        }
-
-
-def setalg_oracle_instances(primes, count, seed):
-    for i, rng, p in _draws(primes, count, seed, "setoracle"):
-        yield {
-            "index": i,
-            "p": p,
-            "A": random_fpset(rng, p, nonempty=False),
-            "B": random_fpset(rng, p, nonempty=False),
-        }

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadIndex, CompositeModulus, ModulusTooLarge, ZeroHasNoLog
+from .errors import BadIndex, CompositeModulus, ModulusTooLarge
 from .setalg import FpSet, bits_from
 
 MODULUS_CAP = 1 << 20
@@ -153,18 +153,6 @@ class PrimeField:
             self._dlog_np = np.array(self.dlog, dtype=np.int64)
         return self._dlog_np
 
-    def dlog_of(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroHasNoLog(f"0 has no discrete log modulo {self.p}")
-        return self.dlog[x]
-
-    def inverse(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroHasNoLog(f"0 is not invertible modulo {self.p}")
-        return self.exp[(-self.dlog[x]) % (self.p - 1)]
-
 
 def _build_field(p: int) -> PrimeField:
     """Baby-step giant-step blocks: row i, column j holds g**(m*i + j), a
@@ -261,11 +249,6 @@ def make_field(p: int, cache_dir: str | Path | None = None) -> PrimeField:
             pass  # cache is an optimization only
     _FIELD_CACHE[p] = fld
     return fld
-
-
-def dlog(fld: PrimeField, x: int) -> int:
-    """Exponent k in [0, p-2] with g**k == x (mod p)."""
-    return fld.dlog_of(x)
 
 
 def subgroup(fld: PrimeField, d: int) -> FpSet:

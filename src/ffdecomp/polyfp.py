@@ -31,17 +31,6 @@ def evaluate(c: list[int], x: int, p: int) -> int:
     return acc
 
 
-def mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return trim(out)
-
-
 def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     a = trim(list(a))
     b = trim(list(b))

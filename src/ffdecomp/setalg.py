@@ -3,7 +3,10 @@
 An FpSet stores its ambient modulus p and one Python integer whose bit i
 is set exactly when i belongs to the set.  Sumsets become OR-folds of
 cyclic shifts, intersections become AND, and cardinality is a popcount,
-all word-parallel.  Values are immutable; every operation returns a new set.
+all word-parallel.  Product sets need the field context of p: they are
+taken in discrete-log space, where multiplying by a fixed element is a
+cyclic shift of p-1 bits.  Values are immutable; every operation returns a
+new set.
 
 Vectors go to and from element lists only through bit_elements and
 bits_from, which are linear in the bit length: setting or clearing one bit
@@ -19,19 +22,6 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import DuplicateShift, MixedModulus
-
-__all__ = [
-    "FpSet",
-    "sumset",
-    "productset",
-    "affine",
-    "iterated_sumset",
-    "intersect_shifts",
-    "growth_product",
-    "parse_set",
-    "format_set",
-]
-
 
 def cyclic_shift(bits: int, k: int, p: int) -> int:
     """Rotate a p-bit vector left by k positions: {x + k mod p : x in bits}."""
@@ -137,15 +127,16 @@ def sumset(a: FpSet, b: FpSet) -> FpSet:
     return FpSet(p, out)
 
 
-def productset(a: FpSet, b: FpSet, fld=None) -> FpSet:
-    """A * B = {x * y mod p}.
+def productset(a: FpSet, b: FpSet, fld) -> FpSet:
+    """A * B = {x * y mod p}, for the field context fld of the same modulus p.
 
-    With a field context the nonzero part is computed in discrete-log space,
-    where multiplication by a fixed element is a cyclic shift mod p-1;
-    without one it falls back to the schoolbook double loop over elements.
+    Zero is handled apart; the nonzero part is computed in discrete-log
+    space, where multiplication by a fixed element is a cyclic shift mod p-1.
     """
     _check_same(a, b)
     p = a.p
+    if fld.p != p:
+        raise MixedModulus(f"field modulus {fld.p} differs from the sets' modulus {p}")
     if a.bits == 0 or b.bits == 0:
         return FpSet(p, 0)
     out = 0
@@ -156,25 +147,19 @@ def productset(a: FpSet, b: FpSet, fld=None) -> FpSet:
     if a_nz == 0 or b_nz == 0:
         return FpSet(p, out)
     small, big = (a_nz, b_nz) if a_nz.bit_count() <= b_nz.bit_count() else (b_nz, a_nz)
-    if fld is not None and fld.p == p:
-        n = p - 1
-        dl = fld.dlog
-        idx_big = bits_from([dl[x] for x in bit_elements(big)], n)
-        acc = 0
-        mask = (1 << n) - 1
-        for x in bit_elements(small):
-            k = dl[x]
-            if k == 0:
-                acc |= idx_big
-            else:
-                acc |= ((idx_big << k) | (idx_big >> (n - k))) & mask
-        exp = fld.exp
-        out |= bits_from([exp[k] for k in bit_elements(acc)], p)
-    else:
-        big_elems = bit_elements(big)
-        for x in bit_elements(small):
-            for y in big_elems:
-                out |= 1 << (x * y % p)
+    n = p - 1
+    dl = fld.dlog
+    idx_big = bits_from([dl[x] for x in bit_elements(big)], n)
+    acc = 0
+    mask = (1 << n) - 1
+    for x in bit_elements(small):
+        k = dl[x]
+        if k == 0:
+            acc |= idx_big
+        else:
+            acc |= ((idx_big << k) | (idx_big >> (n - k))) & mask
+    exp = fld.exp
+    out |= bits_from([exp[k] for k in bit_elements(acc)], p)
     return FpSet(p, out)
 
 

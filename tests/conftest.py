@@ -1,17 +1,21 @@
-"""Shared brute-force oracles, and an in-process stand-in for process pools.
+"""Shared brute-force oracles, the checks and instance generators that
+only tests run, and an in-process stand-in for process pools.
 
 Every oracle here recomputes the quantity under test from first
 principles (double loops, full enumeration), independent of the bitset
 and search machinery it checks.
 """
 
+import math
+import random
 from itertools import combinations
 
 import pytest
 
 from ffdecomp import cli
-from ffdecomp.fpcore import primes_up_to
-from ffdecomp.setalg import FpSet, cyclic_shift
+from ffdecomp.charsum import RootOfUnityTally
+from ffdecomp.fpcore import primes_up_to, subgroup
+from ffdecomp.setalg import FpSet, bits_from, cyclic_shift
 
 
 @pytest.fixture
@@ -151,3 +155,83 @@ def oracle_max_packing(s: FpSet) -> int:
             companion &= cyclic_shift(s.bits, (p - (low.bit_length() - 1)) % p, p)
         best = max(best, companion.bit_count() * b_bits.bit_count())
     return best
+
+
+def exact_int(tally: RootOfUnityTally):
+    """Exact integer value of the tally when the count pattern makes one
+    recognizable.
+
+    Covers the patterns arising from full character-group sums: counts
+    constant on the multiples of some g | d and zero elsewhere (value 0
+    unless the support is just {0}).  Returns None otherwise.
+    """
+    support = [r for r, c in enumerate(tally.counts) if c]
+    if not support:
+        return 0
+    if support == [0]:
+        return tally.counts[0]
+    g = 0
+    for r in support:
+        g = math.gcd(g, r)
+    g = math.gcd(g, tally.d)
+    if support != list(range(0, tally.d, g)):
+        return None
+    level = tally.counts[support[0]]
+    if any(tally.counts[r] != level for r in support):
+        return None
+    return 0  # level * (sum of all (d/g)-th roots of unity), d/g > 1
+
+
+def indicator_identity_holds(fld, d: int) -> bool:
+    """Exact check of d * [v in G_d] == sum over X_d of chi(v), all v != 0.
+
+    Works per discrete-log class: the tally depends on v only through
+    dlog(v) mod d, and its exact integer value must be d on the class of
+    d-th powers and 0 elsewhere.
+    """
+    # Membership table must match the dlog divisibility criterion.
+    dl = fld.dlog
+    member_bits = bits_from([x for x in range(1, fld.p) if dl[x] % d == 0], fld.p)
+    if member_bits != subgroup(fld, d).bits:
+        return False
+    for k_class in range(d):
+        tally = RootOfUnityTally(d)
+        for j in range(d):
+            tally.counts[j * k_class % d] += 1
+        if exact_int(tally) != (d if k_class == 0 else 0):
+            return False
+    return True
+
+
+def random_fpset(rng: random.Random, p: int, nonempty: bool = True) -> FpSet:
+    """Random subset with mixed density (each AND halves the expected size);
+    with nonempty, an empty draw becomes one random element.  The draws are
+    those of experiments.random_fpset."""
+    bits = rng.getrandbits(p)
+    for _ in range(rng.randint(0, 3)):
+        bits &= rng.getrandbits(p)
+    bits &= (1 << p) - 1
+    if nonempty and bits == 0:
+        bits = 1 << rng.randrange(p)
+    return FpSet(p, bits)
+
+
+def conjugation_instances(primes, count, seed):
+    """Criterion 11's instances: a nonempty A and a shift b != 0."""
+    for i in range(count):
+        rng = random.Random(f"{seed}:conjugation:{i}")
+        p = primes[rng.randrange(len(primes))]
+        yield {"index": i, "p": p, "A": random_fpset(rng, p), "b": rng.randint(1, p - 1)}
+
+
+def setalg_oracle_instances(primes, count, seed):
+    """Criterion 12's instances: two subsets A and B, either may be empty."""
+    for i in range(count):
+        rng = random.Random(f"{seed}:setoracle:{i}")
+        p = primes[rng.randrange(len(primes))]
+        yield {
+            "index": i,
+            "p": p,
+            "A": random_fpset(rng, p, nonempty=False),
+            "B": random_fpset(rng, p, nonempty=False),
+        }

@@ -17,19 +17,21 @@ import math
 import pytest
 
 from conftest import (
+    conjugation_instances,
+    indicator_identity_holds,
     naive_productset,
     primes_between,
     naive_sumset,
     oracle_decomposition_exists_normalized,
+    setalg_oracle_instances,
 )
 from ffdecomp import cli
-from ffdecomp.charsum import Character, indicator_identity_holds, weil_report
+from ffdecomp.charsum import Character, weil_report
 from ffdecomp.charsum import vinogradov_check
 from ffdecomp.decomp import DecompQuery, run_query
 from ffdecomp.experiments import (
     bourgain_instances,
     bourgain_report,
-    conjugation_instances,
     grid_divisors,
     growth_exponent_report,
     interval_instances,
@@ -37,7 +39,6 @@ from ffdecomp.experiments import (
     nsum_instances,
     n_count_report,
     packing_bound_harness,
-    setalg_oracle_instances,
     shkvyu_instances,
     shkvyu_report,
     subgroup_ratio_report,
@@ -230,10 +231,11 @@ def test_criterion_11_conjugation_identity():
     count = 0
     for inst in conjugation_instances(primes_between(5, 199), 500, SEED):
         p, a, b = inst["p"], inst["A"], inst["b"]
-        direct = productset(a, affine(a, 1, b))
+        fld = make_field(p)
+        direct = productset(a, affine(a, 1, b), fld)
         binv = pow(b, -1, p)
         scaled = affine(a, binv, 0)
-        conjugated = affine(productset(scaled, affine(scaled, 1, 1)), b * b % p, 0)
+        conjugated = affine(productset(scaled, affine(scaled, 1, 1), fld), b * b % p, 0)
         assert direct == conjugated, inst
         count += 1
     assert count == 500
@@ -245,10 +247,10 @@ def test_criterion_12_setalg_oracle_equivalence():
     for inst in setalg_oracle_instances(primes_between(3, 199), 1000, SEED):
         a, b = inst["A"], inst["B"]
         assert set(sumset(a, b)) == naive_sumset(a, b), inst
-        assert set(productset(a, b)) == naive_productset(a, b), inst
+        assert set(productset(a, b, make_field(inst["p"]))) == naive_productset(a, b), inst
         count += 1
     assert count == 1000
-    _pass(12, "bitset sumset/productset equal naive double loops, 1000/1000")
+    _pass(12, "bitset sumset and dlog-space productset equal naive double loops, 1000/1000")
 
 
 def test_criterion_13_worker_determinism(tmp_path):

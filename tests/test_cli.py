@@ -3,7 +3,12 @@ import hashlib
 import io
 import json
 import multiprocessing
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +63,39 @@ def test_search_nonprime_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "not prime" in err
+
+
+def test_bourgain_composite_modulus_is_usage_error(capsys):
+    code = run(["bourgain", "--prime", "9", "--set", "9:{1,2}", "--set", "9:{1,3}", "--stable"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err == "error: p = 9 is not prime\n"
+    assert captured.out == ""
+
+
+def test_oversized_search_is_refused_before_its_table(tmp_path):
+    """p = 1048571 would need a 128 GiB S - c table.  The child runs under a
+    2 GiB address-space limit, set on it alone, so a search that built the
+    table would fail fast there instead of exhausting the machine."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    argv = ["search", "--set", "subgroup:5", "--prime", "1048571", "--node-budget", "50"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffdecomp.cli", *argv],
+        # the field table of p goes to tmp_path, not the user's cache
+        env=dict(os.environ, PYTHONPATH=path, FFDECOMP_CACHE_DIR=str(tmp_path)),
+        preexec_fn=limit_address_space,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == (
+        "error: p = 1048571: a search table of p**2/8 bytes exceeds the 1 GiB cap (p <= 92681)\n"
+    )
+    assert proc.stdout == ""
 
 
 def test_unknown_command_and_flags(capsys):

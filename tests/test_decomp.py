@@ -16,11 +16,9 @@ from ffdecomp.decomp import (
     DecompQuery,
     find_additive_decompositions,
     find_self_decomposition,
-    max_companion,
     max_packing,
     run_query,
 )
-from ffdecomp.errors import EmptyB
 from ffdecomp.fpcore import divisors, make_field, primes_up_to, subgroup
 from ffdecomp.setalg import FpSet
 
@@ -31,15 +29,6 @@ def fpset(p, *elems):
 
 def qr(p):
     return subgroup(make_field(p), 2)
-
-
-def test_max_companion_examples():
-    s = fpset(7, 1, 2, 4)
-    assert max_companion(s, fpset(7, 0, 3)) == fpset(7, 1)
-    assert max_companion(s, fpset(7, 0)) == s
-    assert max_companion(s, fpset(7, 0, 1, 3)) == fpset(7, 1)
-    with pytest.raises(EmptyB):
-        max_companion(s, FpSet.empty(7))
 
 
 def test_decomposition_examples():
@@ -411,3 +400,11 @@ def test_all_modes_match_oracles_on_random_targets(data):
     assert r.extras["product"] == best
     a, b = r.witnesses[0]
     assert len(a) * len(b) == best and naive_sumset(a, b) <= members
+
+
+def test_searches_that_skip_the_table_are_not_refused():
+    # 92683 is the first prime over the table cap (p**2/8 <= 1 GiB up to
+    # 92681); test_cli checks the refusal itself, in a memory-limited child.
+    # Deciding S = A + B with #S < min_size never builds the table.
+    r = run_query(DecompQuery(S=fpset(92_683, 1), mode="decomposition"))
+    assert r.status == "exhausted_none" and r.nodes_explored == 1

@@ -14,7 +14,6 @@ from ffdecomp.experiments import (
     growth_exponent_report,
     interval_mult_report,
     interval_set,
-    lstar,
     n_count_report,
     packing_bound_harness,
     primitive_root_max_part,
@@ -105,11 +104,7 @@ def test_n_count_examples():
         assert rep.extras["N"] == expect and rep.ok
 
 
-def test_lstar_and_gd_low():
-    assert lstar(101, 3) == 2
-    assert lstar(7, 3) == 0  # degenerate regime: sqrt(p) < d
-    with pytest.raises(BadIndex):
-        lstar(101, 2)
+def test_gd_low_value():
     assert gd_low_value(101, 2) == pytest.approx(
         2 * math.sqrt(101) * math.log(2) / (4 * math.log(101))
     )
@@ -232,7 +227,7 @@ def test_grid_divisors():
 def test_instance_generators_state_no_defaults():
     # every default lives in the sweep config reader, cli.EXPERIMENTS
     generators = [f for name, f in vars(experiments).items() if name.endswith("_instances")]
-    assert len(generators) == 9
+    assert len(generators) == 7  # criteria 11 and 12 draw theirs in conftest
     for gen in generators:
         params = inspect.signature(gen).parameters.values()
         assert all(p.default is inspect.Parameter.empty for p in params), gen.__name__

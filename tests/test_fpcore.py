@@ -9,10 +9,9 @@ import pytest
 
 from conftest import multiplicative_order
 from ffdecomp import fpcore
-from ffdecomp.errors import BadIndex, CompositeModulus, ModulusTooLarge, ZeroHasNoLog
+from ffdecomp.errors import BadIndex, CompositeModulus, ModulusTooLarge
 from ffdecomp.fpcore import (
     divisors,
-    dlog,
     euler_phi,
     factorize,
     is_prime,
@@ -81,10 +80,11 @@ def test_make_field_examples():
 
 def test_dlog_examples():
     fld = make_field(7)
-    assert dlog(fld, 6) == 3
-    assert dlog(fld, 1) == 0
-    with pytest.raises(ZeroHasNoLog):
-        dlog(fld, 0)
+    assert fld.g == 3
+    assert fld.dlog[6] == 3
+    assert fld.dlog[1] == 0
+    assert fld.dlog[0] == -1  # 0 has no discrete log: a sentinel
+    assert fld.exp == [1, 3, 2, 6, 4, 5]
 
 
 def test_dlog_roundtrip_and_bijection():
@@ -98,7 +98,8 @@ def test_dlog_roundtrip_and_bijection():
             seen.add(k)
         assert len(seen) == p - 1
         for x in range(1, p):
-            assert fld.inverse(x) * x % p == 1
+            # x^-1 = g^(-dlog x): inverting is negating the log
+            assert fld.exp[-fld.dlog[x] % (p - 1)] * x % p == 1
 
 
 def test_subgroup_examples():

@@ -1,4 +1,5 @@
-"""Every name imported by a package module or a test module is used in it."""
+"""Every name imported by a package module or a test module is used in it,
+and every top-level function and class of the package is read by the package."""
 
 import ast
 from pathlib import Path
@@ -6,10 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = [
-    *(f for f in sorted((ROOT / "src" / "ffdecomp").glob("*.py")) if f.name != "__init__.py"),
-    *sorted((ROOT / "tests").glob("*.py")),
-]
+PACKAGE = [f for f in sorted((ROOT / "src" / "ffdecomp").glob("*.py")) if f.name != "__init__.py"]
+SOURCES = [*PACKAGE, *sorted((ROOT / "tests").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +35,64 @@ def test_the_scan_sees_unused_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda f: f"{f.parent.name}/{f.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_definitions(sources: dict, extra_reads=frozenset()) -> list[str]:
+    """Top-level functions and classes of the modules in sources (module
+    name -> source text) that no module reads outside their own definition:
+    neither as a name (`grid_divisors`) nor as an attribute of a module of
+    sources (`experiments.grid_divisors`).  extra_reads are names read from
+    outside the modules."""
+    defined = []
+    reads = set(extra_reads)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)  # the def or class this statement is
+            if own is not None:
+                defined.append(f"{module}.{own}")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in sources
+                ):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    reads.add(name)
+    return [d for d in defined if d.split(".")[1] not in reads]
+
+
+def test_the_scan_sees_unread_definitions():
+    sources = {
+        "alpha": (
+            "from . import beta\n"
+            "def entry():\n    return beta.helper()\n"
+            "def recursive():\n    return recursive()\n"
+            "class Kept:\n    pass\n"
+            "entry()\n"
+        ),
+        "beta": (
+            "from .alpha import Kept\n"
+            "def helper():\n    return Kept\n"
+            "def traced():\n    pass\n"
+        ),
+    }
+    assert unread_definitions(sources, {"traced"}) == ["alpha.recursive"]
+    assert unread_definitions(sources) == ["alpha.recursive", "beta.traced"]
+
+
+def test_every_package_definition_is_read_by_the_package():
+    """Code only the tests run belongs in tests/.  The benchmark tracer
+    wraps functions by name, so the strings of perfbench/spans.py count as
+    reads."""
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    strings = {
+        node.value
+        for node in ast.walk(spans)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert unread_definitions({f.stem: f.read_text() for f in PACKAGE}, strings) == []
