@@ -327,18 +327,20 @@ def _run(query: DecompQuery, mode: str) -> DecompReport:
         raise ValueError(f"query.mode must be {mode!r}")
     if query.S.bits == 0:
         raise ValueError("target set must be nonempty")
+    p = query.S.p
+    # when deciding, #(A+B) >= max(#A, #B) >= min_size must not exceed #S
+    searches = mode != MODE_DECOMPOSITION or len(query.S) >= query.min_size
+    # refused before any setup: _Ctx and _coset_minima are linear in p
+    if searches and p * p // 8 > TABLE_BYTES_CAP:
+        raise ModulusTooLarge(
+            f"p = {p}: a search table of p**2/8 bytes exceeds the 1 GiB cap (p <= 92681)"
+        )
     ctx = _Ctx(query)
     minima = _coset_minima(query)
-    p = ctx.p
     try:
         if mode != MODE_SELF and query.min_size <= 1:
             ctx.accept(query.S, FpSet.from_elements(p, [0]))
-        # when deciding, #(A+B) >= max(#A, #B) >= min_size must not exceed #S
-        if mode != MODE_DECOMPOSITION or len(query.S) >= query.min_size:
-            if p * p // 8 > TABLE_BYTES_CAP:
-                raise ModulusTooLarge(
-                    f"p = {p}: a search table of p**2/8 bytes exceeds the 1 GiB cap (p <= 92681)"
-                )
+        if searches:
             ctx.trans = [cyclic_shift(ctx.s_bits, (p - c) % p, p) for c in range(p)]
             for i, first in enumerate(ctx.domain):
                 if minima is None or first in minima:

@@ -2,11 +2,13 @@
 
 A PrimeField fixes the smallest primitive root g of p and tabulates the
 discrete logarithm of every nonzero residue, so that character evaluation
-and subgroup membership reduce to one table lookup.  Tables are cached on
-disk, one binary file per modulus; both the cold build and the load from
-disk fill them with numpy, without a Python loop over the field.  Fields
-are memoized per modulus and subgroups per (field, d); the subgroup bits
-come from setalg.bits_from, linear in p.
+and subgroup membership reduce to one table lookup.  Each table is a flat
+array("i"), four bytes per residue, whose items read back as Python ints.
+Tables are cached on disk, one binary file per modulus; both the cold build
+and the load from disk fill them with numpy and copy the buffer over, with
+no Python loop and no Python int per residue.  Fields are memoized per
+modulus and subgroups per (field, d); the subgroup bits come from
+setalg.bits_from, linear in p.
 """
 
 from __future__ import annotations
@@ -126,16 +128,18 @@ class PrimeField:
     Attributes:
       p: the modulus.
       g: smallest primitive root modulo p.
-      dlog: list of length p; dlog[x] = k with g**k == x (mod p) for x >= 1,
-            dlog[0] = -1 as a sentinel.
-      exp: list of length p-1; exp[k] = g**k mod p.
+      dlog: array("i") of length p; dlog[x] = k with g**k == x (mod p) for
+            x >= 1, dlog[0] = -1 as a sentinel.
+      exp: array("i") of length p-1; exp[k] = g**k mod p.
+
+    Indexing, slicing and iteration give Python ints, as a list would.
 
     Instances are built once per modulus and shared; never mutate them.
     """
 
     __slots__ = ("p", "g", "dlog", "exp", "_dlog_np", "_subgroups")
 
-    def __init__(self, p: int, g: int, dlog: list[int], exp: list[int]):
+    def __init__(self, p: int, g: int, dlog: array, exp: array):
         self.p = p
         self.g = g
         self.dlog = dlog
@@ -148,10 +152,19 @@ class PrimeField:
 
     @property
     def dlog_np(self) -> np.ndarray:
-        """dlog table as an int64 array (built lazily, shared)."""
+        """dlog table as an int64 array (built lazily, shared): int64, not
+        the table's int32, so products such as j * dlog cannot overflow."""
         if self._dlog_np is None:
-            self._dlog_np = np.array(self.dlog, dtype=np.int64)
+            self._dlog_np = np.frombuffer(self.dlog, dtype=np.intc).astype(np.int64)
         return self._dlog_np
+
+
+def _int_array(values: np.ndarray) -> array:
+    """The values as an array("i") of C ints, copied from their buffer, with
+    no Python int each."""
+    out = array("i")
+    out.frombytes(np.ascontiguousarray(values, dtype=np.intc).view(np.uint8))
+    return out
 
 
 def _build_field(p: int) -> PrimeField:
@@ -163,10 +176,10 @@ def _build_field(p: int) -> PrimeField:
     base = np.array([pow(g, j, p) for j in range(m)], dtype=np.int64)
     rows = np.array([pow(g, m * i, p) for i in range(-(-n // m))], dtype=np.int64)
     exp = (rows[:, None] * base[None, :] % p).ravel()[:n]
-    dlog = np.empty(p, dtype=np.int64)
+    dlog = np.empty(p, dtype=np.intc)
     dlog[0] = -1
-    dlog[exp] = np.arange(n)
-    return PrimeField(p, g, dlog.tolist(), exp.tolist())
+    dlog[exp] = np.arange(n, dtype=np.intc)
+    return PrimeField(p, g, _int_array(dlog), _int_array(exp))
 
 
 def default_cache_dir() -> Path:
@@ -181,7 +194,7 @@ def _cache_path(p: int, cache_dir: Path) -> Path:
 
 
 def _write_cache(fld: PrimeField, cache_dir: Path) -> None:
-    table = array("I", fld.dlog[1:])
+    table = fld.dlog[1:]  # entries 0 <= k < p - 1: the same bytes as uint32
     if sys.byteorder == "big":
         table.byteswap()
     path = _cache_path(fld.p, cache_dir)
@@ -193,7 +206,7 @@ def _write_cache(fld: PrimeField, cache_dir: Path) -> None:
     try:
         with open(tmp, "xb") as fh:
             fh.write(_HEADER.pack(_CACHE_VERSION, fld.p, fld.g))
-            fh.write(table.tobytes())
+            fh.write(table)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -213,12 +226,16 @@ def _read_cache(p: int, cache_dir: Path) -> PrimeField | None:
     version, p_stored, g = _HEADER.unpack(header)
     if version != _CACHE_VERSION or p_stored != p or int(table.max()) >= p - 1:
         return None
-    exp = np.empty(p - 1, dtype=np.uint32)
-    exp[table] = np.arange(1, p, dtype=np.uint32)
-    dlog = table.tolist()
-    dlog.insert(0, -1)  # in place: no second full-size list
-    del table  # not needed while the exp list is built
-    return PrimeField(p, g, dlog, exp.tolist())
+    # Scatter into zeros: every exp entry is nonzero, so a slot left at 0
+    # means two residues share a log and the table is no permutation.
+    exp = np.zeros(p - 1, dtype=np.intc)
+    exp[table] = np.arange(1, p, dtype=np.intc)
+    if not exp.all():
+        return None
+    dlog = np.empty(p, dtype=np.intc)
+    dlog[0] = -1
+    dlog[1:] = table
+    return PrimeField(p, g, _int_array(dlog), _int_array(exp))
 
 
 def make_field(p: int, cache_dir: str | Path | None = None) -> PrimeField:
@@ -226,7 +243,8 @@ def make_field(p: int, cache_dir: str | Path | None = None) -> PrimeField:
 
     Results are memoized in-process and persisted under the cache directory
     (FFDECOMP_CACHE_DIR, else ~/.cache/ffdecomp).  Cache files that fail the
-    version or size check are silently rebuilt.
+    version or size check, or whose table is not a permutation of the logs
+    0..p-2, are silently rebuilt.
     """
     if not isinstance(p, int):
         raise TypeError(f"modulus must be an integer, got {type(p).__name__}")

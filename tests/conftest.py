@@ -1,5 +1,6 @@
 """Shared brute-force oracles, the checks and instance generators that
-only tests run, and an in-process stand-in for process pools.
+only tests run, an in-process stand-in for process pools, and a field-table
+cache of the session's own.
 
 Every oracle here recomputes the quantity under test from first
 principles (double loops, full enumeration), independent of the bitset
@@ -16,6 +17,17 @@ from ffdecomp import cli
 from ffdecomp.charsum import RootOfUnityTally
 from ffdecomp.fpcore import primes_up_to, subgroup
 from ffdecomp.setalg import FpSet, bits_from, cyclic_shift
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_field_cache(tmp_path_factory):
+    """Point FFDECOMP_CACHE_DIR at a fresh directory for the whole session,
+    so no test reads or writes the user's cache; the old value comes back
+    afterwards.  Tests that set or unset the variable themselves still may."""
+    cache = tmp_path_factory.mktemp("field-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FFDECOMP_CACHE_DIR", str(cache))
+        yield cache
 
 
 @pytest.fixture

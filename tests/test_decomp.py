@@ -12,6 +12,7 @@ from conftest import (
     oracle_max_packing,
     oracle_self_exists,
 )
+from ffdecomp import decomp
 from ffdecomp.decomp import (
     DecompQuery,
     find_additive_decompositions,
@@ -19,8 +20,9 @@ from ffdecomp.decomp import (
     max_packing,
     run_query,
 )
-from ffdecomp.fpcore import divisors, make_field, primes_up_to, subgroup
-from ffdecomp.setalg import FpSet
+from ffdecomp.errors import ModulusTooLarge
+from ffdecomp.fpcore import divisors, make_field, primes_up_to, smallest_primitive_root, subgroup
+from ffdecomp.setalg import FpSet, bits_from
 
 
 def fpset(p, *elems):
@@ -408,3 +410,23 @@ def test_searches_that_skip_the_table_are_not_refused():
     # Deciding S = A + B with #S < min_size never builds the table.
     r = run_query(DecompQuery(S=fpset(92_683, 1), mode="decomposition"))
     assert r.status == "exhausted_none" and r.nodes_explored == 1
+
+
+def test_oversized_search_is_refused_before_any_setup(monkeypatch):
+    # The d = 5 subgroup of p = 1048571, built without a field table; the
+    # refusal must come before the field and the p - 1 candidates are made.
+    p, d = 1_048_571, 5
+    h = pow(smallest_primitive_root(p), d, p)
+    elems, x = [], 1
+    for _ in range((p - 1) // d):
+        elems.append(x)
+        x = x * h % p
+    s = FpSet(p, bits_from(elems, p))
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("setup ran before the table-size refusal")
+
+    monkeypatch.setattr(decomp.fpcore, "make_field", no_setup)
+    monkeypatch.setattr(decomp, "_Ctx", no_setup)
+    with pytest.raises(ModulusTooLarge):
+        run_query(DecompQuery(S=s, mode="decomposition", subgroup_d=d))

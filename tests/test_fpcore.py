@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -84,7 +85,7 @@ def test_dlog_examples():
     assert fld.dlog[6] == 3
     assert fld.dlog[1] == 0
     assert fld.dlog[0] == -1  # 0 has no discrete log: a sentinel
-    assert fld.exp == [1, 3, 2, 6, 4, 5]
+    assert list(fld.exp) == [1, 3, 2, 6, 4, 5]
 
 
 def test_dlog_roundtrip_and_bijection():
@@ -190,13 +191,52 @@ def _power_walk(p, g):
 def test_cache_roundtrip_matches_cold_build_byte_for_byte(tmp_path, p):
     built = fpcore._build_field(p)
     dlog, exp = _power_walk(p, smallest_primitive_root(p))
-    assert (built.g, built.dlog, built.exp) == (smallest_primitive_root(p), dlog, exp)
+    assert (built.g, list(built.dlog), list(built.exp)) == (smallest_primitive_root(p), dlog, exp)
     fpcore._write_cache(built, tmp_path)
     raw = (tmp_path / f"field_{p}.bin").read_bytes()
     assert raw == struct.pack(f"<BQQ{p - 1}I", 1, p, built.g, *dlog[1:])
     loaded = fpcore._read_cache(p, tmp_path)
-    assert (loaded.p, loaded.g, loaded.dlog, loaded.exp) == (p, built.g, dlog, exp)
+    assert (loaded.p, loaded.g, list(loaded.dlog), list(loaded.exp)) == (p, built.g, dlog, exp)
     assert list(tmp_path.iterdir()) == [tmp_path / f"field_{p}.bin"]
+
+
+def test_cache_whose_table_is_no_permutation_is_rebuilt(tmp_path):
+    p = 101
+    fpcore._FIELD_CACHE.pop(p, None)
+    fpcore._write_cache(fpcore._build_field(p), tmp_path)
+    path = tmp_path / f"field_{p}.bin"
+    good = path.read_bytes()
+    at = 17 + 4 * 5  # table entry 5 (dlog[6]) takes the value of entry 6
+    path.write_bytes(good[:at] + good[at + 4 : at + 8] + good[at + 4 :])
+    assert fpcore._read_cache(p, tmp_path) is None
+    fld = make_field(p, cache_dir=tmp_path)
+    fpcore._FIELD_CACHE.pop(p, None)
+    dlog, exp = _power_walk(p, fld.g)
+    assert (list(fld.dlog), list(fld.exp)) == (dlog, exp)
+    assert subgroup(fld, 2).elements() == sorted({x * x % p for x in range(1, p)})
+    assert path.read_bytes() == good  # rebuilt and written again
+
+
+def test_large_field_tables_are_flat_int_arrays(tmp_path, monkeypatch):
+    """A cold build and a cache load of p = 1048573 each keep about 8 MiB:
+    two arrays of 4-byte C ints, where lists of Python ints kept 73-80 MiB."""
+    p, mib = 1048573, 1 << 20
+    fpcore._FIELD_CACHE.pop(p, None)
+    for source in ("cold build", "cache load"):
+        tracemalloc.start()
+        try:
+            fld = make_field(p, cache_dir=tmp_path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fpcore._FIELD_CACHE.pop(p)
+        assert kept <= 16 * mib and peak <= 48 * mib, (source, kept / mib, peak / mib)
+        for table, size in ((fld.dlog, p), (fld.exp, p - 1)):
+            assert (table.typecode, table.itemsize, len(table)) == ("i", 4, size), source
+        assert (fld.dlog[0], fld.dlog[1], fld.exp[0], fld.exp[1]) == (-1, 0, 1, fld.g)
+        assert (tmp_path / f"field_{p}.bin").exists()
+        # the second pass must load the file just written
+        monkeypatch.setattr(fpcore, "_build_field", lambda p: pytest.fail("field rebuilt"))
 
 
 def test_subgroup_of_large_field_against_powers(tmp_path):
