@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import polyfp
 from .errors import BadIndex
@@ -142,9 +141,14 @@ def weil_report(chi: Character, coeffs: list[int]) -> BoundReport:
 def double_char_sum(chi: Character, a: FpSet, b: FpSet) -> RootOfUnityTally:
     """Exact tally of chi(x + y) over all pairs (x, y) in A x B.
 
-    Pair multiplicities per residue come from one integer convolution of the
-    indicator vectors, so the cost is O(p^2) word operations rather than
-    O(#A * #B) interpreter steps.
+    Pair multiplicities per residue come from one big-integer product
+    (Kronecker substitution): each indicator vector becomes an integer with
+    one 4-byte slot per residue, and the product's slot k counts the pairs
+    with x + y = k.  A count is at most p < 2**20, so no slot carries
+    into the next.  Slot x + p is then folded onto x, and each residue's
+    count goes to the root of unity chi(x) takes, so the cost is one
+    product of two 4p-byte integers plus O(p) interpreter steps rather than
+    O(#A * #B).
     """
     p = chi.field.p
     if a.p != p or b.p != p:
@@ -152,21 +156,25 @@ def double_char_sum(chi: Character, a: FpSet, b: FpSet) -> RootOfUnityTally:
     tally = RootOfUnityTally(chi.d)
     if a.bits == 0 or b.bits == 0:
         return tally
-    ind_a = np.zeros(p, dtype=np.int64)
-    ind_a[a.elements()] = 1
-    ind_b = np.zeros(p, dtype=np.int64)
-    ind_b[b.elements()] = 1
-    conv = np.convolve(ind_a, ind_b)
-    folded = conv[:p].copy()
-    folded[: p - 1] += conv[p:]
-    tally.zeros = int(folded[0])
-    classes = chi.j * chi.field.dlog_np[1:p] % chi.d
-    sums = np.bincount(classes, weights=folded[1:].astype(np.float64), minlength=chi.d)
-    for r in range(chi.d):
-        tally.counts[r] = int(round(sums[r]))
+    pairs = struct.unpack(f"<{2 * p}I", (_slots(a) * _slots(b)).to_bytes(8 * p, "little"))
+    dlog, j, d = chi.field.dlog, chi.j, chi.d
+    tally.zeros = pairs[0] + pairs[p]
+    for x in range(1, p):
+        count = pairs[x] + pairs[x + p]
+        if count:
+            tally.counts[j * dlog[x] % d] += count
     if tally.total() != len(a) * len(b):
         raise AssertionError(f"tally total {tally.total()} is not #A * #B = {len(a) * len(b)}")
     return tally
+
+
+def _slots(s: FpSet) -> int:
+    """The indicator vector of s as an integer with one 4-byte little-endian
+    slot per residue: 2**(32 * x) for each x in s, summed."""
+    buf = bytearray(4 * s.p)
+    for x in s.elements():
+        buf[4 * x] = 1
+    return int.from_bytes(buf, "little")
 
 
 def vinogradov_check(chi: Character, a: FpSet, b: FpSet) -> BoundReport:

@@ -64,7 +64,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -585,6 +584,10 @@ def _sweep_payloads(tasks: list, workers: int):
     if workers <= 1:
         yield from map(_run_task, tasks)
         return
+    # imported here: concurrent.futures and multiprocessing would add about
+    # 30 ms to the start-up of every serial run, which never uses them
+    from concurrent.futures import ProcessPoolExecutor
+
     size = min(workers, len(tasks))
     pool = ProcessPoolExecutor(max_workers=size)
     try:
@@ -653,7 +656,9 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    saved_cache_dir = os.environ.get("FFDECOMP_CACHE_DIR")
     if args.cache_dir:
+        # through the environment, so that a sweep's pool workers see it too
         os.environ["FFDECOMP_CACHE_DIR"] = args.cache_dir
     try:
         if args.command == "sweep":
@@ -670,6 +675,12 @@ def run(argv) -> int:
     except (FFDecompError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        # the flag holds for this run only, not for later runs in the process
+        if saved_cache_dir is None:
+            os.environ.pop("FFDECOMP_CACHE_DIR", None)
+        else:
+            os.environ["FFDECOMP_CACHE_DIR"] = saved_cache_dir
     print(tally.summary(), file=sys.stderr)
     return tally.code()
 

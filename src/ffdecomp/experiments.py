@@ -13,8 +13,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from . import fpcore, polyfp
 from .charsum import Character, double_char_sum, karatsuba_envelope
 from .decomp import DecompQuery, max_packing
@@ -69,8 +67,11 @@ def _character_expansions(fld, d: int, b_elems):
     """For each b in B, the array over x in F_p^* of sum_j chi^j(x^d - b),
     chi a character of order d: d where x^d - b is a nonzero d-th power,
     0 elsewhere (and 0 where x^d = b), in complex arithmetic."""
+    import numpy as np
+
     p = fld.p
-    dlog_np = fld.dlog_np
+    # int64, not the table's int32, so products such as j * dlog cannot overflow
+    dlog_np = np.frombuffer(fld.dlog, dtype=np.intc).astype(np.int64)
     exp_np = np.array(fld.exp, dtype=np.int64)
     k = dlog_np[1:p]
     xd = exp_np[(d * k) % (p - 1)]
@@ -97,6 +98,8 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
     translate can then hit zero); that condition is reported as
     hypothesis_ok and route (iii) is asserted only under it.
     """
+    import numpy as np
+
     fld, sub = _validate_subgroup_args(p, d)
     if b_set.p != p:
         raise BadIndex("B lives in a different ambient modulus")
@@ -170,6 +173,8 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
 def n_count_report(p: int, d: int, b_star: FpSet) -> BoundReport:
     """Count of subgroup elements staying in the subgroup under every
     translate by B*, by direct enumeration and by character expansion."""
+    import numpy as np
+
     fld, sub = _validate_subgroup_args(p, d)
     if b_star.p != p:
         raise BadIndex("B* lives in a different ambient modulus")
@@ -362,6 +367,8 @@ def interval_set(p: int, m: int, n: int) -> FpSet:
 def interval_mult_report(p: int, m: int, n: int, a: FpSet, b: FpSet) -> BoundReport:
     """Solution count of u = a*b with u in the interval, two ways, plus the
     constant-free main-term error inequality."""
+    import numpy as np
+
     fld = make_field(p)
     if a.p != p or b.p != p:
         raise BadIndex("sets must share the interval's modulus")

@@ -7,13 +7,13 @@ principles (double loops, full enumeration), independent of the bitset
 and search machinery it checks.
 """
 
+import concurrent.futures
 import math
 import random
 from itertools import combinations
 
 import pytest
 
-from ffdecomp import cli
 from ffdecomp.charsum import RootOfUnityTally
 from ffdecomp.fpcore import primes_up_to, subgroup
 from ffdecomp.setalg import FpSet, bits_from, cyclic_shift
@@ -32,8 +32,9 @@ def session_field_cache(tmp_path_factory):
 
 @pytest.fixture
 def in_process_pools(monkeypatch):
-    """Swap cli's process pool for a stand-in that runs map lazily in this
-    process and starts none; return the list of pools made, each with its
+    """Swap the process pool that cli imports when a sweep asks for workers
+    for a stand-in that runs map lazily in this process and starts none;
+    return the list of pools made, each with its
     size and the cancel_futures flag of its shutdown."""
     pools = []
 
@@ -49,7 +50,7 @@ def in_process_pools(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             self.cancelled = cancel_futures
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return pools
 
 

@@ -201,6 +201,48 @@ def test_double_char_sum_examples_and_oracle():
         assert tally.total() == len(sa) * len(sb)
 
 
+def pair_loop_tally(chi, a, b):
+    """(counts, zeros) of chi(x + y) over A x B, one pair at a time, with
+    logs taken from the powers of the field's generator."""
+    p, d, j = chi.field.p, chi.d, chi.j
+    log = {pow(chi.field.g, k, p): k for k in range(p - 1)}
+    counts, zeros = [0] * d, 0
+    for x in a:
+        for y in b:
+            v = (x + y) % p
+            if v == 0:
+                zeros += 1
+            else:
+                counts[j * log[v] % d] += 1
+    return counts, zeros
+
+
+def test_double_char_sum_equals_the_pair_loop_for_every_character_to_61():
+    rng = random.Random(61)
+    for p in primes_between(3, 61):
+        fld = make_field(p)
+        for d in divisors(p - 1):
+            for j in range(d):
+                chi = Character(fld, d, j)
+                a = FpSet(p, rng.getrandbits(p))
+                b = FpSet(p, rng.getrandbits(p))
+                tally = double_char_sum(chi, a, b)
+                assert (tally.counts, tally.zeros) == pair_loop_tally(chi, a, b), (p, d, j)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 61])
+def test_double_char_sum_edge_sets_equal_the_pair_loop(p):
+    fld = make_field(p)
+    full, zero = FpSet(p, (1 << p) - 1), FpSet.from_elements(p, [0])
+    rng = random.Random(p)
+    for d in divisors(p - 1):
+        chi = Character(fld, d, rng.randrange(d))
+        some = FpSet.from_elements(p, rng.sample(range(p), rng.randint(1, p)))
+        for a, b in ((full, some), (some, full), (full, full), (zero, zero), (zero, full)):
+            tally = double_char_sum(chi, a, b)
+            assert (tally.counts, tally.zeros) == pair_loop_tally(chi, a, b), (d, a, b)
+
+
 def test_vinogradov_examples():
     leg = legendre7()
     rep = vinogradov_check(leg, FpSet.from_elements(7, [1, 2]), FpSet.from_elements(7, [3, 4]))

@@ -356,6 +356,27 @@ def test_cache_dir_flag(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "field_10037.bin").exists()
 
 
+def test_cache_dir_flag_holds_for_one_run_only(tmp_path, capsys, monkeypatch):
+    import ffdecomp.fpcore as fpcore
+
+    flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
+    monkeypatch.setenv("FFDECOMP_CACHE_DIR", str(env_dir))
+    for p in (10037, 10039):
+        fpcore._FIELD_CACHE.pop(p, None)
+    assert run(["growth", "--prime", "10037", "--d", "2", "--cache-dir", str(flag_dir)]) == EXIT_OK
+    assert os.environ["FFDECOMP_CACHE_DIR"] == str(env_dir)
+    assert run(["growth", "--prime", "10039", "--d", "2"]) == EXIT_OK
+    assert sorted(f.name for f in flag_dir.iterdir()) == ["field_10037.bin"]
+    assert sorted(f.name for f in env_dir.iterdir()) == ["field_10039.bin"]
+    # a variable that was unset is unset again afterwards
+    monkeypatch.delenv("FFDECOMP_CACHE_DIR")
+    assert run(["growth", "--prime", "10037", "--d", "2", "--cache-dir", str(flag_dir)]) == EXIT_OK
+    assert "FFDECOMP_CACHE_DIR" not in os.environ
+    capsys.readouterr()
+    for p in (10037, 10039):
+        fpcore._FIELD_CACHE.pop(p, None)
+
+
 # One tiny --stable sweep per experiment: p_range and samples keep each to a
 # handful of records.
 SWEEP_CONFIGS = {
@@ -413,6 +434,65 @@ def test_sweep_bytes_match_the_recorded_digests(tmp_path, capsys):
             assert run(["sweep", "--config", str(cfg), "--stable", "--seed", str(seed)]) == EXIT_OK
             out = capsys.readouterr().out.encode()
             assert hashlib.sha256(out).hexdigest() == want, (name, seed)
+
+
+_IMPORT_PROBE = r"""
+import contextlib, hashlib, io, json, sys
+from ffdecomp import cli
+
+def loaded():
+    return [m for m in ("numpy", "concurrent.futures.process") if m in sys.modules]
+
+result = {"import": loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    result[name] = [code, loaded(), hashlib.sha256(out.getvalue().encode()).hexdigest()]
+print(json.dumps(result))
+"""
+
+
+def test_numpy_is_imported_only_where_it_computes(tmp_path):
+    """Run the CLI in fresh processes whose fields are all in the disk cache:
+    importing it loads neither numpy nor the process pool, the searches,
+    packing, shkvyu and growth run without numpy, and the three float-vector
+    reports import it and keep their recorded bytes."""
+    def sweep(name):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"experiment": name, **SWEEP_CONFIGS[name]}))
+        return ["sweep", "--config", str(cfg), "--stable", "--seed", "0"]
+
+    commands = [
+        ("search", ["search", "--set", "qr", "--prime", "151", "--stable"]),
+        ("packing", ["packing", "--prime", "101", "--d", "4", "--stable"]),
+        ("shkvyu", sweep("shkvyu")),
+        ("growth", ["growth", "--prime", "10037", "--d", "2", "--stable"]),
+        *[(name, sweep(name)) for name in ("wsum", "nsum", "interval")],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, FFDECOMP_CACHE_DIR=str(tmp_path / "cache"))
+
+    def probe():
+        out = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        return json.loads(out)
+
+    warm = probe()  # builds every field into the empty cache
+    built = {f.name for f in (tmp_path / "cache").iterdir()}
+    assert {"field_101.bin", "field_151.bin", "field_10037.bin"} <= built
+    cached = probe()
+    assert cached["import"] == []
+    for name in ("search", "packing", "shkvyu", "growth"):
+        assert cached[name][:2] == [EXIT_OK, []], name
+    for name in ("wsum", "nsum", "interval"):
+        assert cached[name] == [EXIT_OK, ["numpy"], SWEEP_DIGESTS[name][0]], name
+    assert cached["shkvyu"][2] == SWEEP_DIGESTS["shkvyu"][0]
+    # a cold build and a load from the cache give the same records
+    assert [warm[name][2] for name, _ in commands] == [cached[name][2] for name, _ in commands]
 
 
 def _lit(p, elems):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -147,12 +148,12 @@ def test_disk_cache_layout_and_invalidation(tmp_path):
     fld = make_field(p, cache_dir=tmp_path)
     path = tmp_path / f"field_{p}.bin"
     raw = path.read_bytes()
-    version, p_stored, g_stored = struct.unpack_from("<BQQ", raw)
-    assert (version, p_stored, g_stored) == (1, p, fld.g)
-    assert len(raw) == 17 + 4 * (p - 1)
-    x = 4242
-    entry = struct.unpack_from("<I", raw, 17 + 4 * (x - 1))[0]
-    assert entry == fld.dlog[x]
+    version, p_stored, g_stored, crc = struct.unpack_from("<BQQI", raw)
+    assert (version, p_stored, g_stored) == (2, p, fld.g)
+    assert len(raw) == 21 + 8 * (p - 1) and crc == zlib.crc32(raw[21:])
+    x = 4242  # dlog[x] is table entry x - 1, exp[x] entry x of the second half
+    assert struct.unpack_from("<i", raw, 21 + 4 * (x - 1))[0] == fld.dlog[x]
+    assert struct.unpack_from("<i", raw, 21 + 4 * (p - 1 + x))[0] == fld.exp[x]
 
     # loading from disk reproduces the table
     fpcore._FIELD_CACHE.pop(p)
@@ -164,7 +165,7 @@ def test_disk_cache_layout_and_invalidation(tmp_path):
     path.write_bytes(b"\xff" + raw[1:])
     rebuilt = make_field(p, cache_dir=tmp_path)
     assert rebuilt.dlog == fld.dlog
-    assert path.read_bytes()[0] == 1
+    assert path.read_bytes() == raw
     fpcore._FIELD_CACHE.pop(p, None)
 
 
@@ -194,7 +195,8 @@ def test_cache_roundtrip_matches_cold_build_byte_for_byte(tmp_path, p):
     assert (built.g, list(built.dlog), list(built.exp)) == (smallest_primitive_root(p), dlog, exp)
     fpcore._write_cache(built, tmp_path)
     raw = (tmp_path / f"field_{p}.bin").read_bytes()
-    assert raw == struct.pack(f"<BQQ{p - 1}I", 1, p, built.g, *dlog[1:])
+    body = struct.pack(f"<{2 * (p - 1)}i", *dlog[1:], *exp)
+    assert raw == struct.pack("<BQQI", 2, p, built.g, zlib.crc32(body)) + body
     loaded = fpcore._read_cache(p, tmp_path)
     assert (loaded.p, loaded.g, list(loaded.dlog), list(loaded.exp)) == (p, built.g, dlog, exp)
     assert list(tmp_path.iterdir()) == [tmp_path / f"field_{p}.bin"]
@@ -214,6 +216,40 @@ def test_cache_whose_table_is_no_permutation_is_rebuilt(tmp_path):
     dlog, exp = _power_walk(p, fld.g)
     assert (list(fld.dlog), list(fld.exp)) == (dlog, exp)
     assert subgroup(fld, 2).elements() == sorted({x * x % p for x in range(1, p)})
+    assert path.read_bytes() == good  # rebuilt and written again
+
+
+def _version_1_file(good, p):
+    """The layout before the CRC: version 1, p, g, then dlog[1:] only."""
+    g = struct.unpack_from("<BQQI", good)[2]
+    return struct.pack("<BQQ", 1, p, g) + good[21 : 21 + 4 * (p - 1)]
+
+
+def _flip(good, at):
+    return good[:at] + bytes([good[at] ^ 0x10]) + good[at + 1 :]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _version_1_file,
+        lambda good, p: _flip(good, 21 + 4 * (p - 1) + 4 * 7 + 1),  # exp[7]
+        lambda good, p: _flip(good, 9 + 1),  # the header's g
+        lambda good, p: good[:-4],  # truncated
+    ],
+    ids=["version-1", "exp-byte-flipped", "g-byte-flipped", "truncated"],
+)
+def test_damaged_cache_file_is_rebuilt(tmp_path, damage):
+    p = 101
+    fpcore._FIELD_CACHE.pop(p, None)
+    fpcore._write_cache(fpcore._build_field(p), tmp_path)
+    path = tmp_path / f"field_{p}.bin"
+    good = path.read_bytes()
+    path.write_bytes(damage(good, p))
+    assert fpcore._read_cache(p, tmp_path) is None
+    fld = make_field(p, cache_dir=tmp_path)
+    fpcore._FIELD_CACHE.pop(p, None)
+    assert (list(fld.dlog), list(fld.exp)) == _power_walk(p, fld.g)
     assert path.read_bytes() == good  # rebuilt and written again
 
 
