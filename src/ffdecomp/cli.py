@@ -16,9 +16,11 @@ exit code and the summary line.  So:
   the records finished before it stay in the output as complete lines;
 - a killed sweep keeps every record written before it was killed.
 
-Records under --stable zero the volatile fields (timestamp, elapsed, node
-counts) so reruns and different worker counts are byte-comparable after
-the canonical ordering the commands already emit.
+Payloads hold report values as the reports made them (FpSet, Fraction,
+...); make_record converts each whole record to JSON values in one pass,
+_plain, which under --stable also zeroes the volatile fields (timestamp,
+elapsed, node counts), so reruns and different worker counts are
+byte-comparable after the canonical ordering the commands already emit.
 
 Each experiment is wired once, in EXPERIMENTS, keyed by subcommand name:
 the flags it requires, how its flags become one instance dict, how a sweep
@@ -64,6 +66,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -87,7 +90,6 @@ from .experiments import (
     subgroup_ratio_report,
     w_identity_report,
 )
-from .reports import json_ready
 from .setalg import FpSet, bits_from, parse_set
 
 SCHEMA_VERSION = 1
@@ -104,30 +106,52 @@ _CSV_FIELDS = ["command", "experiment", "p", "d", "status", "lhs", "rhs", "ok", 
 # One encoder for every record; json.dumps with options builds a new one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-_NESTED = (dict, list)
+_JSON_SCALARS = frozenset((int, float, str, bool, type(None)))
 
 
-def _stabilize(obj):
-    """Zero the volatile keys at any depth of dicts and lists (not tuples)."""
+def _plain(obj, stable: bool):
+    """obj as a record value: the one conversion of report values to JSON.
+
+    Dicts become dicts with str keys and lists and tuples become lists, at
+    any depth; an FpSet becomes its element list, a Fraction a float and a
+    numpy scalar its .item(); ints, floats, strs, bools and None (subclasses
+    too) stay as they are, and anything else becomes its str.  Under stable
+    the value of every key in _VOLATILE_KEYS, at any depth, becomes 0.
+    Members of exact JSON scalar types are kept without a call."""
     if isinstance(obj, dict):
-        return {
-            k: 0 if k in _VOLATILE_KEYS else _stabilize(v) if isinstance(v, _NESTED) else v
-            for k, v in obj.items()
-        }
-    if isinstance(obj, list):
-        return [_stabilize(v) if isinstance(v, _NESTED) else v for v in obj]
-    return obj
+        out = {}
+        for key, value in obj.items():
+            key = str(key)
+            if stable and key in _VOLATILE_KEYS:
+                out[key] = 0
+            elif type(value) in _JSON_SCALARS:
+                out[key] = value
+            else:
+                out[key] = _plain(value, stable)
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in _JSON_SCALARS else _plain(v, stable) for v in obj]
+    if isinstance(obj, FpSet):
+        return obj.elements()
+    if isinstance(obj, Fraction):
+        return float(obj)
+    if obj is None or isinstance(obj, (int, float, str)):
+        return obj
+    if hasattr(obj, "item"):  # numpy scalars
+        return obj.item()
+    return str(obj)
 
 
 def make_record(command: str, seed: int, payload: dict, stable: bool = False) -> dict:
+    """The record of one payload, its values converted by _plain in one pass."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "timestamp": 0 if stable else int(time.time()),
+        "timestamp": int(time.time()),
         "seed": seed,
-        "payload": _stabilize(payload) if stable else payload,
+        "payload": payload,
     }
-    return record
+    return _plain(record, stable)
 
 
 def parse_target(text: str, p: int | None):
@@ -298,7 +322,7 @@ def _search_target(inst: dict, mode: str, min_size: int):
     )
     report = run_query(query)
     payload = report.to_dict()
-    payload["instance"] = json_ready({"p": inst["p"], "set": inst["set"], **meta})
+    payload["instance"] = {"p": inst["p"], "set": inst["set"], **meta}
     return payload, meta, report
 
 
@@ -340,8 +364,7 @@ def _run_search(inst: dict) -> dict:
     if inst["single_op"]:
         _attach_family_bounds(payload, meta, inst["p"], report)
     else:
-        echo = {"p": inst["p"], "set": inst["set"], "mode": inst["mode"]}
-        payload["instance"] = json_ready(echo)
+        payload["instance"] = {"p": inst["p"], "set": inst["set"], "mode": inst["mode"]}
     return payload
 
 
@@ -556,6 +579,9 @@ def _config_primes(cfg: dict, least: int) -> list[int]:
     ):
         raise ConfigError("config field 'p_range' must be [lo, hi]")
     lo, hi = rng
+    if hi >= fpcore.MODULUS_CAP:
+        # checked before the sieve, whose table is hi + 1 bytes
+        raise ConfigError(f"p_range {rng} reaches the field cap: hi must be below 2**20")
     primes = [p for p in fpcore.primes_up_to(hi) if p >= max(least, lo)]
     if not primes:
         raise ConfigError(f"p_range {rng} contains no usable prime (p >= {least})")
@@ -581,14 +607,16 @@ def _cmd_sweep(args):
 
 
 def _sweep_payloads(tasks: list, workers: int):
-    if workers <= 1:
+    # A fork pool starts all of its processes at the first submit, so the
+    # pool is no larger than the task list or the machine's CPU count.
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    if size <= 1:
         yield from map(_run_task, tasks)
         return
     # imported here: concurrent.futures and multiprocessing would add about
     # 30 ms to the start-up of every serial run, which never uses them
     from concurrent.futures import ProcessPoolExecutor
 
-    size = min(workers, len(tasks))
     pool = ProcessPoolExecutor(max_workers=size)
     try:
         chunk = max(1, len(tasks) // (size * 8))

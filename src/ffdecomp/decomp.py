@@ -38,7 +38,6 @@ from dataclasses import dataclass, field as dc_field
 
 from . import fpcore
 from .errors import ModulusTooLarge
-from .reports import json_ready
 from .setalg import FpSet, bit_elements, cyclic_shift
 
 MODE_DECOMPOSITION = "decomposition"
@@ -62,8 +61,8 @@ class DecompQuery:
 
     min_size bounds min{#A, #B} (2 = nontrivial); self-decomposition ignores
     it and accepts any nonempty A.  subgroup_d declares that S is the group
-    of d-th powers, enabling the multiplicative symmetry quotient and exact
-    subgroup pruning; it is verified at search start.
+    of d-th powers, enabling the multiplicative symmetry quotient (the first
+    nonzero element of B is a coset minimum); it is verified at search start.
     """
 
     S: FpSet
@@ -97,13 +96,15 @@ class DecompReport:
     extras: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The payload of this report's record: each witness pair becomes
+        {"A": A, "B": B}, and the values, FpSets included, stay unconverted."""
         return {
             "type": "decomp",
             "status": self.status,
-            "witnesses": [{"A": a.elements(), "B": b.elements()} for a, b in self.witnesses],
+            "witnesses": [{"A": a, "B": b} for a, b in self.witnesses],
             "nodes_explored": self.nodes_explored,
             "elapsed": self.elapsed,
-            "extras": json_ready(self.extras),
+            "extras": self.extras,
         }
 
 

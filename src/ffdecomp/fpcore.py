@@ -5,7 +5,7 @@ discrete logarithm of every nonzero residue, so that character evaluation
 and subgroup membership reduce to one table lookup.  Each table is a flat
 array("i"), four bytes per residue, whose items read back as Python ints.
 Tables are cached on disk, one binary file per modulus holding both tables
-and a CRC-32 of them.  A load is two array("i").frombytes calls and imports
+and a CRC-32 of them.  A load is two array("i").fromfile calls and imports
 nothing; only a cold build imports numpy, inside _build_field, whose
 baby-step giant-step blocks are about ten times faster than a Python loop
 at p near 2**20.  Fields are memoized per modulus and subgroups per (field, d);
@@ -213,21 +213,24 @@ def _write_cache(fld: PrimeField, cache_dir: Path) -> None:
 def _read_cache(p: int, cache_dir: Path) -> PrimeField | None:
     """The field stored for p, or None if the file is missing, of another
     version or modulus or of the wrong size, or if its CRC or its g does
-    not match its tables."""
-    try:
-        raw = _cache_path(p, cache_dir).read_bytes()
-    except OSError:
-        return None
-    half = 4 * (p - 1)
-    if len(raw) != _HEADER.size + 2 * half:
-        return None
-    version, p_stored, g, crc = _HEADER.unpack_from(raw)
-    body = memoryview(raw)[_HEADER.size :]
-    if version != _CACHE_VERSION or p_stored != p or zlib.crc32(body) != crc:
-        return None
+    not match its tables.  Each table is read straight from the file, so a
+    load never holds the whole file as well as the tables."""
+    n = p - 1  # items in each stored table
     dlog, exp = array("i", [-1]), array("i")
-    dlog.frombytes(body[:half])
-    exp.frombytes(body[half:])
+    try:
+        with open(_cache_path(p, cache_dir), "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != _HEADER.size + 2 * 4 * n:
+                return None
+            version, p_stored, g, crc = _HEADER.unpack(fh.read(_HEADER.size))
+            if version != _CACHE_VERSION or p_stored != p:
+                return None
+            dlog.fromfile(fh, n)
+            exp.fromfile(fh, n)
+    except (OSError, EOFError):
+        return None
+    # the body's CRC, over the little-endian bytes as read, before any byteswap
+    if zlib.crc32(exp, zlib.crc32(memoryview(dlog)[1:])) != crc:
+        return None
     if sys.byteorder == "big":
         dlog.byteswap()  # dlog[0] = -1 has all bytes equal, so it survives
         exp.byteswap()

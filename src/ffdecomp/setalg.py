@@ -84,14 +84,6 @@ class FpSet:
     def from_elements(cls, p: int, elements) -> "FpSet":
         return cls(p, bits_from((e % p for e in elements), p))
 
-    @classmethod
-    def empty(cls, p: int) -> "FpSet":
-        return cls(p, 0)
-
-    @classmethod
-    def nonzero(cls, p: int) -> "FpSet":
-        return cls(p, ((1 << p) - 1) ^ 1)
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 

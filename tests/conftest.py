@@ -59,6 +59,11 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return [p for p in primes_up_to(hi) if p >= lo]
 
 
+def nonzero_set(p: int) -> FpSet:
+    """F_p^* = {1, ..., p - 1} as an FpSet."""
+    return FpSet(p, ((1 << p) - 1) ^ 1)
+
+
 def naive_sumset(a: FpSet, b: FpSet) -> set:
     return {(x + y) % a.p for x in a for y in b}
 

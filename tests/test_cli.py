@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffdecomp import cli, decomp, reports
+from ffdecomp import cli
 from ffdecomp.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -28,7 +28,6 @@ from ffdecomp.cli import (
     run,
 )
 from ffdecomp.errors import FFDecompError
-from ffdecomp.reports import json_ready
 from ffdecomp.setalg import FpSet, format_set
 
 
@@ -277,6 +276,14 @@ def test_sweep_config_errors(tmp_path, capsys):
         assert run(["sweep", "--config", str(no_seeded_prime)]) == EXIT_USAGE, name
         err = capsys.readouterr().err
         assert err == "error: p_range [3, 4] contains no usable prime (p >= 5)\n", name
+    # hi at the field cap is refused before the sieve, whose table is hi + 1
+    # bytes (a p_range up to 10**11 died there in MemoryError); this range
+    # keeps that table at 1 MiB where the check is missing
+    at_cap = tmp_path / "at_cap.json"
+    at_cap.write_text(json.dumps({"experiment": "vinogradov", "p_range": [2**20 - 2, 2**20]}))
+    assert run(["sweep", "--config", str(at_cap)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: p_range [1048574, 1048576] reaches the field cap: hi must be below 2**20\n"
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"p_range": [5, 7]}))
     assert run(["sweep", "--config", str(missing)]) == EXIT_USAGE
@@ -300,10 +307,11 @@ def test_sweep_workers_instance_parallel(tmp_path, capsys):
     assert one.read_bytes() == four.read_bytes()
 
 
-def test_process_pools_are_sized_to_their_tasks(tmp_path, capsys, in_process_pools):
+def test_process_pools_are_sized_to_their_tasks(tmp_path, capsys, in_process_pools, monkeypatch):
     # A fork pool starts all of its processes at the first submit, so a pool
-    # larger than its task list forks processes that never get work.  A
-    # single-op command runs in one process whatever --workers says.
+    # larger than its task list or than the machine's CPUs forks processes
+    # that never get work or that only contend for a CPU.  A single-op
+    # command runs in one process whatever --workers says.
     pools = in_process_pools
     search = ["search", "--set", "qr", "--prime", "31", "--stable"]
     _, serial = run_records(search, capsys)
@@ -313,9 +321,18 @@ def test_process_pools_are_sized_to_their_tasks(tmp_path, capsys, in_process_poo
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "vinogradov", "p_range": [5, 61], "samples": 4}))
-    code, records = run_records(["sweep", "--config", str(cfg), "--workers", "64"], capsys)
-    assert code == EXIT_OK and len(records) == 4
-    assert [(pool.size, pool.cancelled) for pool in pools] == [(4, True)]
+    sweep = ["sweep", "--config", str(cfg), "--stable"]
+    _, serial = run_records(sweep, capsys)
+    assert len(serial) == 4 and not pools
+    # (CPUs, --workers) -> the pool's size: the least of the CPUs, the
+    # workers and the 4 tasks; a size of 1 runs serially and starts no pool
+    for cpus, workers, size in [(8, 64, 4), (3, 64, 3), (8, 2, 2), (1, 64, None), (None, 64, None)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools.clear()
+        code, records = run_records(sweep + ["--workers", str(workers)], capsys)
+        assert code == EXIT_OK and records == serial, (cpus, workers)
+        want = [] if size is None else [(size, True)]
+        assert [(pool.size, pool.cancelled) for pool in pools] == want, (cpus, workers)
 
 
 def test_sweep_seed_comes_from_the_flag_else_the_config(tmp_path, capsys):
@@ -585,7 +602,7 @@ def test_usage_and_config_errors_create_no_out_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # The record path before records were streamed: collect every payload, then
 # emit them in one string.  It is kept here as a reference and shares no code
-# with cli's writer, reports.json_ready or cli._stabilize.
+# with cli's writer or cli._plain.
 
 _ORACLE_VOLATILE = {"elapsed", "nodes_explored", "nodes", "timestamp"}
 
@@ -646,22 +663,31 @@ def oracle_emit(command, seed, payloads, fmt) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def oracle_payloads(monkeypatch, name, instances):
-    """Run the instances serially, with every report converted by the oracle."""
-    with monkeypatch.context() as patch:
-        for module in (reports, decomp, cli):
-            patch.setattr(module, "json_ready", oracle_json_ready)
-        return [cli._run_task((name, inst)) for inst in instances]
+def _numpy_values(obj) -> list:
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [v for item in obj for v in _numpy_values(item)]
+    return [obj] if type(obj).__module__ == "numpy" else []
 
 
-def test_sweep_bytes_match_the_collecting_writer(tmp_path, capsys, monkeypatch):
+def oracle_payloads(name, instances):
+    """Run the instances serially, each payload converted by the oracle.  A
+    raw payload holds no numpy value: a pool sends payloads unconverted, and
+    the parent of a pool need not import numpy."""
+    raw = [cli._run_task((name, inst)) for inst in instances]
+    assert _numpy_values(raw) == [], name
+    return [oracle_json_ready(payload) for payload in raw]
+
+
+def test_sweep_bytes_match_the_collecting_writer(tmp_path, capsys):
     assert set(SWEEP_CONFIGS) == set(cli.EXPERIMENTS)
     seed = 1
     for name, extra in SWEEP_CONFIGS.items():
         config = {"experiment": name, **extra}
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(config))
-        payloads = oracle_payloads(monkeypatch, name, cli.EXPERIMENTS[name].sweep(config, seed))
+        payloads = oracle_payloads(name, cli.EXPERIMENTS[name].sweep(config, seed))
         argv = ["sweep", "--config", str(cfg), "--stable", "--seed", str(seed)]
         oks = sum(1 for payload in payloads if payload.get("ok") is True)
         fails = sum(1 for payload in payloads if payload.get("ok") is False)
@@ -682,7 +708,7 @@ def test_sweep_bytes_match_the_collecting_writer(tmp_path, capsys, monkeypatch):
         assert all(line.endswith(b"\r\n") for line in csv_lines)
 
 
-def test_single_op_bytes_match_the_collecting_writer(capsys, monkeypatch):
+def test_single_op_bytes_match_the_collecting_writer(capsys):
     cases = [
         ["search", "--set", "qr", "--prime", "7"],
         ["search", "--set", "7:{1,2,4,5}", "--prime", "7"],
@@ -704,7 +730,7 @@ def test_single_op_bytes_match_the_collecting_writer(capsys, monkeypatch):
     for argv in cases:
         args = build_parser().parse_args(argv)
         experiment = cli.EXPERIMENTS[args.command]
-        payloads = oracle_payloads(monkeypatch, args.command, [experiment.from_args(args)])
+        payloads = oracle_payloads(args.command, [experiment.from_args(args)])
         for fmt in ("jsonl", "csv"):
             code = run(argv + ["--stable", "--seed", "4", "--format", fmt])
             assert capsys.readouterr().out == oracle_emit(args.command, 4, payloads, fmt), (argv, fmt)
@@ -796,6 +822,6 @@ def _typed(obj):
 
 @settings(max_examples=200, deadline=None)
 @given(_VALUES)
-def test_json_ready_and_stabilize_match_the_reference(value):
-    assert _typed(json_ready(value)) == _typed(oracle_json_ready(value))
-    assert _typed(cli._stabilize(value)) == _typed(oracle_stabilize(value))
+def test_record_values_match_the_reference(value):
+    assert _typed(cli._plain(value, False)) == _typed(oracle_json_ready(value))
+    assert _typed(cli._plain(value, True)) == _typed(oracle_stabilize(oracle_json_ready(value)))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     naive_sumset,
+    nonzero_set,
     oracle_decomposition_exists,
     oracle_decomposition_exists_normalized,
     oracle_max_packing,
@@ -94,8 +95,8 @@ def test_packing_examples():
     r = run_query(DecompQuery(S=qr(7), mode="packing", min_size=1, subgroup_d=2))
     assert r.status == "found" and r.extras["product"] == 3
 
-    r = run_query(DecompQuery(S=FpSet.nonzero(7), mode="packing", min_size=1))
-    assert r.extras["product"] == 12 == oracle_max_packing(FpSet.nonzero(7))
+    r = run_query(DecompQuery(S=nonzero_set(7), mode="packing", min_size=1))
+    assert r.extras["product"] == 12 == oracle_max_packing(nonzero_set(7))
     a, b = r.witnesses[0]
     assert len(a) * len(b) == 12
     assert naive_sumset(a, b) <= set(range(1, 7))
@@ -125,7 +126,7 @@ def test_full_unit_group_as_declared_subgroup_matches_the_literal_search():
     # the undeclared search and the brute-force oracles.
     for p in (5, 7, 11, 13):
         s = subgroup(make_field(p), 1)
-        assert s == FpSet.nonzero(p)
+        assert s == nonzero_set(p)
         for mode, min_size in (("decomposition", 2), ("self_decomposition", 2), ("packing", 1)):
             declared = run_query(DecompQuery(S=s, mode=mode, min_size=min_size, subgroup_d=1))
             literal = run_query(DecompQuery(S=s, mode=mode, min_size=min_size))
@@ -145,7 +146,7 @@ def test_full_unit_group_as_declared_subgroup_matches_the_literal_search():
         (a, b), = r.witnesses
         assert len(a) * len(b) == r.extras["product"] and naive_sumset(a, b) <= set(s), p
     with pytest.raises(ValueError):
-        run_query(DecompQuery(S=FpSet.nonzero(7), mode="decomposition", subgroup_d=0))
+        run_query(DecompQuery(S=nonzero_set(7), mode="decomposition", subgroup_d=0))
 
 
 def test_engine_matches_bruteforce_on_random_targets():
@@ -223,7 +224,7 @@ def test_query_validation():
     with pytest.raises(ValueError):
         DecompQuery(S=s, mode="decomposition", node_budget=0)
     with pytest.raises(ValueError):
-        run_query(DecompQuery(S=FpSet.empty(7), mode="decomposition"))
+        run_query(DecompQuery(S=FpSet(7, 0), mode="decomposition"))
     with pytest.raises(ValueError):
         find_self_decomposition(DecompQuery(S=s, mode="decomposition"))
     with pytest.raises(ValueError):
@@ -303,7 +304,7 @@ def test_report_serialization():
     r = run_query(DecompQuery(S=fpset(7, 1, 2, 4, 5), mode="decomposition"))
     d = r.to_dict()
     assert d["type"] == "decomp" and d["status"] == "found"
-    assert d["witnesses"] == [{"A": [1, 4], "B": [0, 1]}]
+    assert d["witnesses"] == [{"A": fpset(7, 1, 4), "B": fpset(7, 0, 1)}]
     assert isinstance(d["nodes_explored"], int) and d["elapsed"] >= 0
 
 

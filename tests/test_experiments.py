@@ -211,7 +211,7 @@ def test_bourgain_examples():
     with pytest.raises(ZeroSetOnly):
         bourgain_report(7, fpset(7, 0), fpset(7, 1, 2))
     with pytest.raises(ValueError):
-        bourgain_report(7, FpSet.empty(7), fpset(7, 1))
+        bourgain_report(7, FpSet(7, 0), fpset(7, 1))
 
 
 def test_grid_divisors():

@@ -236,8 +236,9 @@ def _flip(good, at):
         lambda good, p: _flip(good, 21 + 4 * (p - 1) + 4 * 7 + 1),  # exp[7]
         lambda good, p: _flip(good, 9 + 1),  # the header's g
         lambda good, p: good[:-4],  # truncated
+        lambda good, p: good + bytes(4),  # a trailing int32 of zeros
     ],
-    ids=["version-1", "exp-byte-flipped", "g-byte-flipped", "truncated"],
+    ids=["version-1", "exp-byte-flipped", "g-byte-flipped", "truncated", "trailing-bytes"],
 )
 def test_damaged_cache_file_is_rebuilt(tmp_path, damage):
     p = 101
