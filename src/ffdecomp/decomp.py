@@ -261,8 +261,16 @@ def _dfs(ctx, b_list, a_bits, a_size, cands, start):
             break
     if not feasible:
         return
+    # The child's own bound_b test, run here so that a child which could
+    # neither emit nor extend costs no call: its bound_b is at least its #B
+    # = nb + 1, so failing the test also rules out its emit.  ctx.floor is
+    # read on every pass, since packing raises it inside this loop.
+    last = len(kept) + nb
     for i, c in enumerate(kept):
-        _dfs(ctx, b_list + [c], kept_bits[i], sizes[i], kept, i + 1)
+        t = sizes[i]
+        child_bound = min(last - i, t)
+        if child_bound >= ms and t * child_bound > ctx.floor:
+            _dfs(ctx, b_list + [c], kept_bits[i], t, kept, i + 1)
 
 
 def _dfs_self(ctx, a_bits, sum_bits, cands):

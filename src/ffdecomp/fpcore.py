@@ -5,11 +5,12 @@ discrete logarithm of every nonzero residue, so that character evaluation
 and subgroup membership reduce to one table lookup.  Each table is a flat
 array("i"), four bytes per residue, whose items read back as Python ints.
 Tables are cached on disk, one binary file per modulus holding both tables
-and a CRC-32 of them.  A load is two array("i").fromfile calls and imports
-nothing; only a cold build imports numpy, inside _build_field, whose
-baby-step giant-step blocks are about ten times faster than a Python loop
-at p near 2**20.  Fields are memoized per modulus and subgroups per (field, d);
-the subgroup bits come from setalg.bits_from, linear in p.
+and a CRC-32 of them.  A load reads each table in place (readinto) into an
+array("i") allocated once at its full size, and imports nothing; only a
+cold build imports numpy, inside _build_field, whose baby-step giant-step
+blocks are about ten times faster than a Python loop at p near 2**20.
+Fields are memoized per modulus and subgroups per (field, d); the subgroup
+bits come from setalg.bits_from, linear in p.
 """
 
 from __future__ import annotations
@@ -212,21 +213,25 @@ def _write_cache(fld: PrimeField, cache_dir: Path) -> None:
 
 def _read_cache(p: int, cache_dir: Path) -> PrimeField | None:
     """The field stored for p, or None if the file is missing, of another
-    version or modulus or of the wrong size, or if its CRC or its g does
-    not match its tables.  Each table is read straight from the file, so a
-    load never holds the whole file as well as the tables."""
+    version or modulus or of the wrong size, if a read comes up short, or
+    if its CRC or its g does not match its tables.  Each table is allocated
+    once and read into in place, so a load holds nothing but the tables."""
     n = p - 1  # items in each stored table
-    dlog, exp = array("i", [-1]), array("i")
     try:
-        with open(_cache_path(p, cache_dir), "rb") as fh:
+        with open(_cache_path(p, cache_dir), "rb", buffering=0) as fh:
             if os.fstat(fh.fileno()).st_size != _HEADER.size + 2 * 4 * n:
                 return None
-            version, p_stored, g, crc = _HEADER.unpack(fh.read(_HEADER.size))
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                return None
+            version, p_stored, g, crc = _HEADER.unpack(header)
             if version != _CACHE_VERSION or p_stored != p:
                 return None
-            dlog.fromfile(fh, n)
-            exp.fromfile(fh, n)
-    except (OSError, EOFError):
+            dlog, exp = array("i", [-1]) * p, array("i", [0]) * n
+            for table in (memoryview(dlog)[1:], memoryview(exp)):
+                if fh.readinto(table) != table.nbytes:
+                    return None
+    except OSError:
         return None
     # the body's CRC, over the little-endian bytes as read, before any byteswap
     if zlib.crc32(exp, zlib.crc32(memoryview(dlog)[1:])) != crc:

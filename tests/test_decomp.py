@@ -165,6 +165,24 @@ def test_engine_matches_bruteforce_on_random_targets():
         assert r.extras["product"] == oracle_max_packing(s), s
 
 
+def test_min_size_three_matches_bruteforce_on_sumsets():
+    """Deciding with min_size 3, where a B of three elements must still be
+    emitted when it could not grow: sumsets of random 3-sets, and random
+    targets, against the full enumeration."""
+    rng = random.Random(3)
+    for _ in range(30):
+        p = rng.choice((7, 11, 13))
+        if rng.random() < 0.7:
+            a, b = rng.sample(range(p), 3), rng.sample(range(p), 3)
+            s = FpSet.from_elements(p, {(x + y) % p for x in a for y in b})
+        else:
+            s = FpSet(p, rng.getrandbits(p) or 1)
+        r = run_query(DecompQuery(S=s, mode="decomposition", min_size=3))
+        assert (r.status == "found") == oracle_decomposition_exists(s, 3), s
+        for a, b in r.witnesses:
+            assert min(len(a), len(b)) >= 3 and naive_sumset(a, b) == set(s), s
+
+
 def test_engine_matches_bruteforce_on_subgroups():
     # exercises the multiplicative symmetry quotient against the
     # no-assumptions oracle on every subgroup target up to p = 13, and

@@ -25,8 +25,9 @@ from ffdecomp.experiments import (
     w_identity_report,
     wsum_instances,
 )
-from ffdecomp.fpcore import make_field, subgroup
-from ffdecomp.setalg import FpSet
+from ffdecomp import fpcore
+from ffdecomp.fpcore import divisors, make_field, subgroup
+from ffdecomp.setalg import FpSet, productset
 
 
 def fpset(p, *elems):
@@ -161,6 +162,39 @@ def test_growth_examples():
     assert rep.extras["zero_in_shift"]  # -1 = 6 is a cube mod 7
     with pytest.raises(BadIndex):
         growth_exponent_report(7, 6)  # G has a single element
+
+
+def _growth_against_productset(p, d):
+    fld = make_field(p)
+    g = subgroup(fld, d)
+    shifted = g.translate(1)
+    extras = growth_exponent_report(p, d).extras
+    grown = len(productset(g, shifted, fld))
+    assert (extras["grown_size"], extras["zero_in_shift"]) == (grown, 0 in shifted), (p, d)
+    assert extras["e"] == math.log(grown) / math.log(len(g)), (p, d)
+    return extras["zero_in_shift"]
+
+
+def test_growth_coset_count_matches_the_product_set():
+    """The coset count equals the size of the built product set G(G + 1)
+    for every subgroup of order >= 2 of every prime 5 <= p < 400."""
+    cases = [
+        (p, d)
+        for p in primes_between(5, 399)
+        for d in divisors(p - 1)
+        if d >= 2 and (p - 1) // d >= 2
+    ]
+    assert len(cases) == 534
+    zero_hits = [_growth_against_productset(p, d) for p, d in cases]
+    assert any(zero_hits) and not all(zero_hits)
+
+
+@pytest.mark.parametrize("p, d", [(1048573, 7182), (1048571, 5405)])
+def test_growth_coset_count_matches_the_product_set_near_the_field_cap(p, d):
+    try:
+        _growth_against_productset(p, d)
+    finally:
+        fpcore._FIELD_CACHE.pop(p, None)
 
 
 def test_packing_harness_examples():

@@ -276,6 +276,23 @@ def test_large_field_tables_are_flat_int_arrays(tmp_path, monkeypatch):
         monkeypatch.setattr(fpcore, "_build_field", lambda p: pytest.fail("field rebuilt"))
 
 
+def test_cache_load_holds_nothing_but_the_tables(tmp_path):
+    """A load reads each table in place: its tracemalloc peak stays within
+    the two tables plus a small margin.  Staging a table in a bytes object
+    (array.fromfile, read_bytes) peaks near 1.5 times the tables."""
+    p = 100003
+    fpcore._write_cache(fpcore._build_field(p), tmp_path)
+    tables = 4 * p + 4 * (p - 1)
+    tracemalloc.start()
+    try:
+        fld = fpcore._read_cache(p, tmp_path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(fld.dlog), len(fld.exp)) == (p, p - 1)
+    assert tables <= kept <= peak <= tables + (16 << 10), (kept, peak, tables)
+
+
 def test_subgroup_of_large_field_against_powers(tmp_path):
     p, d = 1048573, 7182
     fld = make_field(p, cache_dir=tmp_path)
