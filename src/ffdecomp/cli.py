@@ -318,7 +318,6 @@ def _search_target(inst: dict, mode: str, min_size: int):
         min_size=min_size,
         node_budget=inst["node_budget"],
         time_budget=inst["time_budget"],
-        subgroup_d=meta.get("d") if meta.get("family") in ("qr", "subgroup") else None,
     )
     report = run_query(query)
     payload = report.to_dict()

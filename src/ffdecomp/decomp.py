@@ -7,12 +7,13 @@ die when the companion drops below the required size, when no extension can
 reach the target product, or when the sorted sizes of the candidate
 intersections cap every reachable product below the requirement.
 
-For subgroup targets the whole configuration can be multiplied by any
-subgroup element, so the first nonzero element of B is restricted to the
+When S is a subgroup of F_p^* the whole configuration can be multiplied by
+any element of S, so the first nonzero element of B is restricted to the
 minimum of its multiplicative coset; this is a pure symmetry quotient and
-discards no decomposition class.  It is _coset_minima, which validates the
-declared subgroup and returns the minima, plus one condition in _run's
-partition loop.
+discards no decomposition class.  The search finds the subgroup itself
+(DecompQuery.subgroup_d, from S alone), and _coset_minima lists the minima
+from n-th powers, with no field table; one condition in _run's partition
+loop applies them.
 
 Budget: a node is one candidate examined, counting the first element of
 each partition (and, for decomposition and packing, the root B = {0}).
@@ -33,10 +34,10 @@ sweep runs whole searches in a process pool.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 
-from . import fpcore
 from .errors import ModulusTooLarge
 from .setalg import FpSet, bit_elements, cyclic_shift
 
@@ -60,9 +61,12 @@ class DecompQuery:
     """Target set plus search mode and resource limits.
 
     min_size bounds min{#A, #B} (2 = nontrivial); self-decomposition ignores
-    it and accepts any nonempty A.  subgroup_d declares that S is the group
-    of d-th powers, enabling the multiplicative symmetry quotient (the first
-    nonzero element of B is a coset minimum); it is verified at search start.
+    it and accepts any nonempty A.  When S is a subgroup of F_p^* (see
+    subgroup_d) the search applies the multiplicative symmetry quotient: the
+    first nonzero element of B is a coset minimum.  The first witness, and
+    the first packing optimum, are the ones the unquotiented search reports;
+    with max_witnesses > 1 the further witnesses are drawn only from
+    partitions that start at a coset minimum.
     """
 
     S: FpSet
@@ -71,7 +75,6 @@ class DecompQuery:
     node_budget: int = 10**8
     time_budget: float = 300.0
     max_witnesses: int = 1
-    subgroup_d: int | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -82,6 +85,23 @@ class DecompQuery:
             raise ValueError("budgets must be positive")
         if self.max_witnesses < 1:
             raise ValueError("max_witnesses must be >= 1")
+
+    @property
+    def subgroup_d(self) -> int | None:
+        """d when S is G_d, the group of d-th powers in F_p^*, else None.
+
+        For prime p, S is a subgroup exactly when n = #S divides p - 1 and
+        s**n = 1 for every s in S (so 0 is not in S): the n-th roots of unity
+        are the only subgroup of order n, and d = (p - 1) / n.  A composite
+        modulus gives None, since its n-th powers need not tell the cosets
+        apart (mod 15, 2**2 == 7**2).
+        """
+        s, p = self.S, self.S.p
+        n = len(s)
+        if n == 0 or (p - 1) % n or any(pow(x, n, p) != 1 for x in s):
+            return None
+        prime = all(p % q for q in range(2, math.isqrt(p) + 1))
+        return (p - 1) // n if prime else None
 
 
 @dataclass
@@ -298,21 +318,16 @@ def _dfs_self(ctx, a_bits, sum_bits, cands):
         _dfs_self(ctx, new_a, new_sum, cands[i + 1 :])
 
 
-def _coset_minima(query: DecompQuery) -> set[int] | None:
-    """Validate a declared subgroup target and return the minimum element of
-    each coset of the d-th powers in F_p^*; None when no subgroup is declared."""
-    d = query.subgroup_d
-    if d is None:
-        return None
-    p = query.S.p
-    fld = fpcore.make_field(p)
-    if d < 1 or (p - 1) % d != 0:
-        raise ValueError(f"subgroup_d = {d} does not divide p - 1 = {p - 1}")
-    if fpcore.subgroup(fld, d) != query.S:
-        raise ValueError("declared subgroup target does not match S")
+def _coset_minima(p: int, d: int) -> set[int]:
+    """The least element of each coset of G_d in F_p^*.  With n = (p - 1) / d,
+    x and y share a coset exactly when x**n == y**n; the scan stops once all
+    d cosets have their minimum."""
+    n = (p - 1) // d
     minima = {}
     for x in range(1, p):
-        minima.setdefault(fld.dlog[x] % d, x)
+        minima.setdefault(pow(x, n, p), x)
+        if len(minima) == d:
+            break
     return set(minima.values())
 
 
@@ -330,8 +345,9 @@ def _search(ctx, i):
 
 
 def _run(query: DecompQuery, mode: str) -> DecompReport:
-    """Check the query, seed the trivial pair, search the partitions whose
-    first element is a coset minimum, in order, and report."""
+    """Check the query, seed the trivial pair, search the partitions in
+    order, only those whose first element is a coset minimum when S is a
+    subgroup, and report."""
     if query.mode != mode:
         raise ValueError(f"query.mode must be {mode!r}")
     if query.S.bits == 0:
@@ -339,18 +355,20 @@ def _run(query: DecompQuery, mode: str) -> DecompReport:
     p = query.S.p
     # when deciding, #(A+B) >= max(#A, #B) >= min_size must not exceed #S
     searches = mode != MODE_DECOMPOSITION or len(query.S) >= query.min_size
-    # refused before any setup: _Ctx and _coset_minima are linear in p
+    # refused before any setup: _Ctx is linear in p, and the table and the
+    # coset minima are built only to search
     if searches and p * p // 8 > TABLE_BYTES_CAP:
         raise ModulusTooLarge(
             f"p = {p}: a search table of p**2/8 bytes exceeds the 1 GiB cap (p <= 92681)"
         )
     ctx = _Ctx(query)
-    minima = _coset_minima(query)
     try:
         if mode != MODE_SELF and query.min_size <= 1:
             ctx.accept(query.S, FpSet.from_elements(p, [0]))
         if searches:
             ctx.trans = [cyclic_shift(ctx.s_bits, (p - c) % p, p) for c in range(p)]
+            d = query.subgroup_d
+            minima = None if d is None else _coset_minima(p, d)
             for i, first in enumerate(ctx.domain):
                 if minima is None or first in minima:
                     _search(ctx, i)

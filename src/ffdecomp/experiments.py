@@ -311,7 +311,6 @@ def packing_bound_harness(
         min_size=1,
         node_budget=node_budget,
         time_budget=time_budget,
-        subgroup_d=d,
     )
     result = max_packing(query)
     product = result.extras.get("product", 0)

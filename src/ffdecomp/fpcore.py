@@ -29,40 +29,12 @@ from .setalg import FpSet, bits_from
 
 MODULUS_CAP = 1 << 20
 
-# Witnesses making Miller-Rabin deterministic for all n < 2**64.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 _CACHE_VERSION = 2
 # version tag, p, g, zlib.crc32 of the body; the body is dlog[1:] then exp,
 # little-endian int32
 _HEADER = struct.Struct("<BQQI")
 
 _FIELD_CACHE: dict[int, "PrimeField"] = {}
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 2**64."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -258,10 +230,10 @@ def make_field(p: int, cache_dir: str | Path | None = None) -> PrimeField:
         return cached
     if p >= MODULUS_CAP:
         raise ModulusTooLarge(f"p = {p} exceeds the dlog-table cap 2**20")
-    if not is_prime(p):
-        raise CompositeModulus(f"p = {p} is not prime")
     if p < 3:
         raise CompositeModulus(f"p = {p}: modulus must be an odd prime >= 3")
+    if factorize(p) != {p: 1}:
+        raise CompositeModulus(f"p = {p} is not prime")
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     fld = _read_cache(p, directory)
     if fld is None:

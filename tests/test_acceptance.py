@@ -105,7 +105,7 @@ def test_criterion_04_sarkozy_quadratic_residues():
         if p < 5:
             continue
         s = subgroup(make_field(p), 2)
-        r = run_query(DecompQuery(S=s, mode="decomposition", subgroup_d=2))
+        r = run_query(DecompQuery(S=s, mode="decomposition"))
         assert r.status == "exhausted_none", (p, r.status)
     _pass(4, "quadratic residues indecomposable for all 5 <= p <= 37 (exhaustive)")
 
@@ -140,7 +140,7 @@ def test_criterion_04_sarkozy_all_subgroups():
 
     engine_found = set()
     for (p, d), s in targets.items():
-        r = run_query(DecompQuery(S=s, mode="decomposition", subgroup_d=d))
+        r = run_query(DecompQuery(S=s, mode="decomposition"))
         assert r.status in ("found", "exhausted_none"), (p, d, r.status)
         assert (r.status == "found") == ((p, d) in oracle_found), (p, d, r.status)
         if r.status == "found":
@@ -161,7 +161,7 @@ def test_criterion_05_shkredov_self_decomposition():
         if p < 5:
             continue
         s = subgroup(make_field(p), 2)
-        r = run_query(DecompQuery(S=s, mode="self_decomposition", subgroup_d=2))
+        r = run_query(DecompQuery(S=s, mode="self_decomposition"))
         assert r.status == "exhausted_none", (p, r.status)
     _pass(5, "no A with A+A = QR(p) for any 5 <= p <= 61 (exhaustive)")
 

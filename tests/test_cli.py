@@ -57,6 +57,16 @@ def test_search_found_witness(capsys):
     assert records[0]["payload"]["witnesses"] == [{"A": [1, 4], "B": [0, 1]}]
 
 
+def test_literal_subgroup_searches_like_the_family(capsys):
+    # 13:{1,3,9} is G_4 mod 13: the search finds the symmetry from the set.
+    outcomes = []
+    for target in ("13:{1,3,9}", "subgroup:4"):
+        code, (rec,) = run_records(["search", "--prime", "13", "--set", target], capsys)
+        payload = rec["payload"]
+        outcomes.append((code, payload["status"], payload["witnesses"], payload["nodes_explored"]))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_search_nonprime_is_usage_error(capsys):
     code = run(["search", "--set", "qr", "--prime", "6"])
     err = capsys.readouterr().err

@@ -13,7 +13,7 @@ from conftest import (
     oracle_max_packing,
     oracle_self_exists,
 )
-from ffdecomp import decomp
+from ffdecomp import decomp, fpcore
 from ffdecomp.decomp import (
     DecompQuery,
     find_additive_decompositions,
@@ -35,7 +35,7 @@ def qr(p):
 
 
 def test_decomposition_examples():
-    r = run_query(DecompQuery(S=qr(7), mode="decomposition", subgroup_d=2))
+    r = run_query(DecompQuery(S=qr(7), mode="decomposition"))
     assert r.status == "exhausted_none" and not r.witnesses
 
     r = run_query(DecompQuery(S=fpset(7, 1, 2, 4, 5), mode="decomposition"))
@@ -79,7 +79,7 @@ def test_start_states():
 
 
 def test_self_decomposition_examples():
-    r = run_query(DecompQuery(S=qr(7), mode="self_decomposition", subgroup_d=2))
+    r = run_query(DecompQuery(S=qr(7), mode="self_decomposition"))
     assert r.status == "exhausted_none"
 
     r = run_query(DecompQuery(S=fpset(7, 0, 1, 2), mode="self_decomposition"))
@@ -92,7 +92,7 @@ def test_self_decomposition_examples():
 
 
 def test_packing_examples():
-    r = run_query(DecompQuery(S=qr(7), mode="packing", min_size=1, subgroup_d=2))
+    r = run_query(DecompQuery(S=qr(7), mode="packing", min_size=1))
     assert r.status == "found" and r.extras["product"] == 3
 
     r = run_query(DecompQuery(S=nonzero_set(7), mode="packing", min_size=1))
@@ -111,42 +111,61 @@ def test_packing_with_no_admissible_pair_reports_no_witness():
     # residues mod 13: the search covers the whole space and must say so
     # instead of claiming a find.
     s = qr(13)
-    query = DecompQuery(S=s, mode="packing", min_size=3, subgroup_d=2)
+    query = DecompQuery(S=s, mode="packing", min_size=3)
     r = run_query(query)
     assert r.status == "exhausted_none" and not r.witnesses
     assert r.extras["product"] == 0
     assert oracle_max_packing(s) < 9  # so no pair of two 3-sets fits
-    r = run_query(DecompQuery(S=s, mode="packing", min_size=3, subgroup_d=2, node_budget=1))
+    r = run_query(DecompQuery(S=s, mode="packing", min_size=3, node_budget=1))
     assert r.status == "budget_exceeded" and not r.witnesses
 
 
-def test_full_unit_group_as_declared_subgroup_matches_the_literal_search():
-    # d = 1 declares S = F_p^* = G_1: its one coset has minimum 1, so the
-    # quotient searches one partition.  Status and packing product must match
-    # the undeclared search and the brute-force oracles.
+def test_full_unit_group_matches_the_oracles():
+    # S = F_p^* is G_1: its one coset has minimum 1, so the quotient searches
+    # one partition.  Status, witnesses and packing product must agree with
+    # the brute-force oracles.
     for p in (5, 7, 11, 13):
-        s = subgroup(make_field(p), 1)
-        assert s == nonzero_set(p)
-        for mode, min_size in (("decomposition", 2), ("self_decomposition", 2), ("packing", 1)):
-            declared = run_query(DecompQuery(S=s, mode=mode, min_size=min_size, subgroup_d=1))
-            literal = run_query(DecompQuery(S=s, mode=mode, min_size=min_size))
-            assert declared.status == literal.status, (p, mode)
-            assert declared.extras == literal.extras, (p, mode)
-            assert declared.nodes_explored <= literal.nodes_explored, (p, mode)
-        r = run_query(DecompQuery(S=s, mode="decomposition", subgroup_d=1))
+        s = nonzero_set(p)
+        assert DecompQuery(S=s, mode="decomposition").subgroup_d == 1
+        r = run_query(DecompQuery(S=s, mode="decomposition"))
         assert (r.status == "found") == oracle_decomposition_exists(s), p
         for a, b in r.witnesses:
             assert naive_sumset(a, b) == set(s), p
-        r = run_query(DecompQuery(S=s, mode="self_decomposition", subgroup_d=1))
+        r = run_query(DecompQuery(S=s, mode="self_decomposition"))
         assert (r.status == "found") == oracle_self_exists(s), p
         for a, b in r.witnesses:
             assert naive_sumset(a, b) == set(s), p
-        r = run_query(DecompQuery(S=s, mode="packing", min_size=1, subgroup_d=1))
+        r = run_query(DecompQuery(S=s, mode="packing", min_size=1))
         assert r.extras["product"] == oracle_max_packing(s), p
         (a, b), = r.witnesses
         assert len(a) * len(b) == r.extras["product"] and naive_sumset(a, b) <= set(s), p
-    with pytest.raises(ValueError):
-        run_query(DecompQuery(S=nonzero_set(7), mode="decomposition", subgroup_d=0))
+
+
+def test_subgroup_is_detected_exactly():
+    # Every G_d with p <= 61 is found, d = 1 (F_p^*) and d = p - 1 ({1})
+    # included.
+    for p in primes_up_to(61):
+        if p < 3:
+            continue
+        for d in divisors(p - 1):
+            query = DecompQuery(S=subgroup(make_field(p), d), mode="decomposition")
+            assert query.subgroup_d == d, (p, d)
+    # Every nonempty subset for p <= 13, sets holding 0 included, against an
+    # independent oracle: a nonempty finite set is a subgroup of F_p^*
+    # exactly when it misses 0 and is closed under multiplication.
+    for p in primes_up_to(13):
+        for bits in range(1, 1 << p):
+            s = FpSet(p, bits)
+            closed = 0 not in s and all(x * y % p in s for x in s for y in s)
+            want = (p - 1) // len(s) if closed else None
+            assert DecompQuery(S=s, mode="decomposition").subgroup_d == want, s
+    # Mod 21, {1, 8, 13, 20} passes the n-th power tests, but fourth powers
+    # do not separate its cosets: keyed by them, the search would miss the
+    # decomposition.  A composite modulus gets no quotient.
+    s = fpset(21, 1, 8, 13, 20)
+    assert DecompQuery(S=s, mode="decomposition").subgroup_d is None
+    r = run_query(DecompQuery(S=s, mode="decomposition"))
+    assert r.status == "found" and oracle_decomposition_exists(s)
 
 
 def test_engine_matches_bruteforce_on_random_targets():
@@ -196,11 +215,11 @@ def test_engine_matches_bruteforce_on_subgroups():
             s = subgroup(make_field(p), d)
             exists = oracle_decomposition_exists(s)
             assert oracle_decomposition_exists_normalized(s) == exists, (p, d)
-            r = run_query(DecompQuery(S=s, mode="decomposition", subgroup_d=d))
+            r = run_query(DecompQuery(S=s, mode="decomposition"))
             assert (r.status == "found") == exists, (p, d)
-            r = run_query(DecompQuery(S=s, mode="self_decomposition", subgroup_d=d))
+            r = run_query(DecompQuery(S=s, mode="self_decomposition"))
             assert (r.status == "found") == oracle_self_exists(s), (p, d)
-            r = run_query(DecompQuery(S=s, mode="packing", min_size=1, subgroup_d=d))
+            r = run_query(DecompQuery(S=s, mode="packing", min_size=1))
             assert r.extras["product"] == oracle_max_packing(s), (p, d)
 
 
@@ -249,9 +268,6 @@ def test_query_validation():
         find_additive_decompositions(DecompQuery(S=s, mode="packing"))
     with pytest.raises(ValueError):
         max_packing(DecompQuery(S=s, mode="decomposition"))
-    with pytest.raises(ValueError):
-        # declared subgroup does not match the set
-        run_query(DecompQuery(S=fpset(7, 1, 3), mode="decomposition", subgroup_d=2))
 
 
 def test_worker_partitioning_is_deterministic():
@@ -291,16 +307,16 @@ def test_worker_partitioning_is_deterministic():
     # Subgroup targets, whose partitions start at the coset minima, and one
     # more, at the default limits.
     for fields in (
-        dict(S=qr(13), mode="decomposition", subgroup_d=2),
-        dict(S=qr(13), mode="self_decomposition", subgroup_d=2),
-        dict(S=subgroup(make_field(13), 3), mode="decomposition", subgroup_d=3),
+        dict(S=qr(13), mode="decomposition"),
+        dict(S=qr(13), mode="self_decomposition"),
+        dict(S=subgroup(make_field(13), 3), mode="decomposition"),
         dict(S=fpset(13, 1, 2, 4, 5, 8), mode="decomposition"),
-        dict(S=qr(17), mode="packing", min_size=1, subgroup_d=2),
+        dict(S=qr(17), mode="packing", min_size=1),
     ):
         query = DecompQuery(**fields)
         assert outcome(run_query(query)) == outcome(run_query(query)), fields
     # A deadline stop, whose node count is not the budget, is budget_exceeded.
-    query = DecompQuery(S=qr(151), mode="decomposition", subgroup_d=2, time_budget=1e-9)
+    query = DecompQuery(S=qr(151), mode="decomposition", time_budget=1e-9)
     assert run_query(query).status == "budget_exceeded"
 
 
@@ -331,9 +347,9 @@ def _budget_cases():
     s13 = fpset(13, 1, 2, 4, 5, 6, 7, 9, 12)
     s17 = fpset(17, 1, 2, 4, 5, 6, 7, 10, 12, 14, 15, 16)
     cases = [
-        dict(S=qr(41), mode="decomposition", subgroup_d=2),
-        dict(S=qr(37), mode="packing", min_size=1, subgroup_d=2),
-        dict(S=qr(41), mode="self_decomposition", subgroup_d=2),
+        dict(S=qr(41), mode="decomposition"),
+        dict(S=qr(37), mode="packing", min_size=1),
+        dict(S=qr(41), mode="self_decomposition"),
         dict(S=s13, mode="decomposition", max_witnesses=3),
         dict(S=s13, mode="packing", min_size=1),
         dict(S=s13, mode="self_decomposition", max_witnesses=2),
@@ -391,7 +407,7 @@ def test_qr_151_certificate_node_count():
     # The exhaustive certificate that the quadratic residues mod 151 have no
     # decomposition A + B with #A, #B >= 2.  The node count pins the pruning:
     # a kernel change that cuts more or less of the tree moves it.
-    r = run_query(DecompQuery(S=qr(151), mode="decomposition", subgroup_d=2))
+    r = run_query(DecompQuery(S=qr(151), mode="decomposition"))
     assert r.status == "exhausted_none" and not r.witnesses
     assert r.nodes_explored == 650_035
 
@@ -445,7 +461,10 @@ def test_oversized_search_is_refused_before_any_setup(monkeypatch):
     def no_setup(*args, **kwargs):
         raise AssertionError("setup ran before the table-size refusal")
 
-    monkeypatch.setattr(decomp.fpcore, "make_field", no_setup)
+    monkeypatch.setattr(fpcore, "make_field", no_setup)
     monkeypatch.setattr(decomp, "_Ctx", no_setup)
+    monkeypatch.setattr(decomp, "_coset_minima", no_setup)
+    query = DecompQuery(S=s, mode="decomposition")
+    assert query.subgroup_d == d
     with pytest.raises(ModulusTooLarge):
-        run_query(DecompQuery(S=s, mode="decomposition", subgroup_d=d))
+        run_query(query)
