@@ -56,10 +56,14 @@ def gd_low_value(p: int, d: int) -> float:
 # ---------------------------------------------------------------------------
 # membership-product identities
 
-def _validate_subgroup_args(p: int, d: int):
-    fld = make_field(p)
+def _check_index(p: int, d: int) -> None:
     if d < 2 or (p - 1) % d != 0:
         raise BadIndex(f"need d >= 2 dividing p-1; got d = {d}, p = {p}")
+
+
+def _validate_subgroup_args(p: int, d: int):
+    fld = make_field(p)
+    _check_index(p, d)
     return fld, subgroup(fld, d)
 
 
@@ -257,24 +261,40 @@ def growth_exponent_report(p: int, d: int, eps: float = DEFAULT_SIZE_EPSILON) ->
     whether a translate element hit zero, in which case the e >= 1 sanity
     floor is flagged rather than asserted.
 
-    The product set is counted by cosets, never built:
+    The product set is counted by cosets, never built, and no field table
+    is read.  With n = #G = (p - 1) / d,
 
-        #(G(G+1)) = #G * #{dlog(x + 1) mod d : x in G, x != -1} + [-1 in G].
+        #(G(G+1)) = n * #{(x + 1)**n : x in G, x != -1} + [n even].
 
     Proof: G(G+1) is the union of yG over y in G+1.  For y = 0 (present
     exactly when -1 is in G) that is {0}.  For y != 0, yG is the coset of G
-    containing y, which has #G elements; G = {g**k : d | k}, so y and y'
-    lie in one coset iff dlog(y) = dlog(y') (mod d).  Distinct cosets are
-    disjoint and miss 0, so the union has #G elements per coset hit, plus
-    one for 0.
+    containing y, which has n elements.  F_p^* is cyclic of order p - 1, so
+    x**n = 1 has exactly n roots and G is all of them; hence y and y' lie in
+    one coset iff (y/y')**n = 1, iff y**n = y'**n.  Distinct cosets are
+    disjoint and miss 0, so the union has n elements per coset hit, plus
+    one for 0.  -1 is the one element of order 2 of F_p^*, and the cyclic
+    group G of order n holds an element of order 2 iff n is even.
+
+    G is walked as h**k, h = g**d for the primitive root g (h has order n).
+    There are exactly d cosets, so once d labels are seen every coset is
+    hit and the rest of the walk cannot change the count: it stops there.
     """
-    fld, g = _validate_subgroup_args(p, d)
-    order = len(g)
+    fpcore.check_modulus(p)
+    _check_index(p, d)
+    order = (p - 1) // d
     if order < 2:
         raise BadIndex(f"degenerate subgroup of order {order}")
-    cosets = {fld.dlog[x + 1] % d for x in fld.exp[::d] if x != p - 1}
-    zero_in_shift = p - 1 in g
-    grown_size = order * len(cosets) + zero_in_shift
+    h = pow(fpcore.smallest_primitive_root(p), d, p)
+    labels = set()
+    x = 1
+    for _ in range(order):
+        if x != p - 1:
+            labels.add(pow(x + 1, order, p))
+            if len(labels) == d:
+                break
+        x = x * h % p
+    zero_in_shift = order % 2 == 0
+    grown_size = order * len(labels) + zero_in_shift
     e = math.log(grown_size) / math.log(order)
     return BoundReport(
         experiment="growth",

@@ -11,6 +11,12 @@ cold build imports numpy, inside _build_field, whose baby-step giant-step
 blocks are about ten times faster than a Python loop at p near 2**20.
 Fields are memoized per modulus and subgroups per (field, d); the subgroup
 bits come from setalg.bits_from, linear in p.
+
+check_modulus holds the refusals make_field runs before a load or build
+(not an int, p >= 2**20, not an odd prime).  A caller that needs only the
+arithmetic of G_d, not its bit set, runs the same check and walks
+powers of smallest_primitive_root(p)**d with pow, reading no table: the
+growth records of experiments.growth_exponent_report do this.
 """
 
 from __future__ import annotations
@@ -216,6 +222,19 @@ def _read_cache(p: int, cache_dir: Path) -> PrimeField | None:
     return PrimeField(p, g, dlog, exp)
 
 
+def check_modulus(p: int) -> None:
+    """Refuse a modulus that is not an int, not below 2**20 or not an odd
+    prime; the checks make_field runs before it loads or builds a field."""
+    if not isinstance(p, int):
+        raise TypeError(f"modulus must be an integer, got {type(p).__name__}")
+    if p >= MODULUS_CAP:
+        raise ModulusTooLarge(f"p = {p} exceeds the dlog-table cap 2**20")
+    if p < 3:
+        raise CompositeModulus(f"p = {p}: modulus must be an odd prime >= 3")
+    if factorize(p) != {p: 1}:
+        raise CompositeModulus(f"p = {p} is not prime")
+
+
 def make_field(p: int, cache_dir: str | Path | None = None) -> PrimeField:
     """Construct (or load) the field context for an odd prime p < 2**20.
 
@@ -223,17 +242,10 @@ def make_field(p: int, cache_dir: str | Path | None = None) -> PrimeField:
     (FFDECOMP_CACHE_DIR, else ~/.cache/ffdecomp).  Cache files that fail the
     version, modulus, size, CRC or generator check are silently rebuilt.
     """
-    if not isinstance(p, int):
-        raise TypeError(f"modulus must be an integer, got {type(p).__name__}")
-    cached = _FIELD_CACHE.get(p)  # after the type check: 5.0 hashes like 5
+    cached = _FIELD_CACHE.get(p) if isinstance(p, int) else None  # 5.0 hashes like 5
     if cached is not None:
         return cached
-    if p >= MODULUS_CAP:
-        raise ModulusTooLarge(f"p = {p} exceeds the dlog-table cap 2**20")
-    if p < 3:
-        raise CompositeModulus(f"p = {p}: modulus must be an odd prime >= 3")
-    if factorize(p) != {p: 1}:
-        raise CompositeModulus(f"p = {p} is not prime")
+    check_modulus(p)
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     fld = _read_cache(p, directory)
     if fld is None:

@@ -366,6 +366,10 @@ def test_sweep_seed_comes_from_the_flag_else_the_config(tmp_path, capsys):
     assert rec["seed"] == 0
 
 
+# a command that loads the field table of 10037 (growth reads none)
+SHKVYU_10037 = ["--prime", "10037", "--d", "2", "--shifts", "1,2"]
+
+
 def test_cache_dir_flag(tmp_path, capsys, monkeypatch):
     import ffdecomp.fpcore as fpcore
 
@@ -380,6 +384,10 @@ def test_cache_dir_flag(tmp_path, capsys, monkeypatch):
     code = run(["growth", "--prime", "10037", "--d", "2", "--cache-dir", str(tmp_path)])
     capsys.readouterr()
     assert code == EXIT_OK
+    assert list(tmp_path.iterdir()) == []  # growth reads no field table
+    code = run(["shkvyu", *SHKVYU_10037, "--cache-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == EXIT_OK
     assert (tmp_path / "field_10037.bin").exists()
 
 
@@ -390,14 +398,14 @@ def test_cache_dir_flag_holds_for_one_run_only(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FFDECOMP_CACHE_DIR", str(env_dir))
     for p in (10037, 10039):
         fpcore._FIELD_CACHE.pop(p, None)
-    assert run(["growth", "--prime", "10037", "--d", "2", "--cache-dir", str(flag_dir)]) == EXIT_OK
+    assert run(["shkvyu", *SHKVYU_10037, "--cache-dir", str(flag_dir)]) == EXIT_OK
     assert os.environ["FFDECOMP_CACHE_DIR"] == str(env_dir)
-    assert run(["growth", "--prime", "10039", "--d", "2"]) == EXIT_OK
+    assert run(["shkvyu", "--prime", "10039", "--d", "2", "--shifts", "1,2"]) == EXIT_OK
     assert sorted(f.name for f in flag_dir.iterdir()) == ["field_10037.bin"]
     assert sorted(f.name for f in env_dir.iterdir()) == ["field_10039.bin"]
     # a variable that was unset is unset again afterwards
     monkeypatch.delenv("FFDECOMP_CACHE_DIR")
-    assert run(["growth", "--prime", "10037", "--d", "2", "--cache-dir", str(flag_dir)]) == EXIT_OK
+    assert run(["shkvyu", *SHKVYU_10037, "--cache-dir", str(flag_dir)]) == EXIT_OK
     assert "FFDECOMP_CACHE_DIR" not in os.environ
     capsys.readouterr()
     for p in (10037, 10039):
@@ -480,6 +488,20 @@ print(json.dumps(result))
 """
 
 
+def _probe(commands, cache_dir):
+    """Run the CLI commands in one fresh process with the given cache
+    directory; per command: exit code, modules loaded so far, sha256 of
+    stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, FFDECOMP_CACHE_DIR=str(cache_dir))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    return json.loads(out)
+
+
 def test_numpy_is_imported_only_where_it_computes(tmp_path):
     """Run the CLI in fresh processes whose fields are all in the disk cache:
     importing it loads neither numpy nor the process pool, the searches,
@@ -494,32 +516,42 @@ def test_numpy_is_imported_only_where_it_computes(tmp_path):
         ("search", ["search", "--set", "qr", "--prime", "151", "--stable"]),
         ("packing", ["packing", "--prime", "101", "--d", "4", "--stable"]),
         ("shkvyu", sweep("shkvyu")),
+        ("shkvyu_10037", ["shkvyu", *SHKVYU_10037, "--stable"]),
         ("growth", ["growth", "--prime", "10037", "--d", "2", "--stable"]),
         *[(name, sweep(name)) for name in ("wsum", "nsum", "interval")],
     ]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, FFDECOMP_CACHE_DIR=str(tmp_path / "cache"))
 
-    def probe():
-        out = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        ).stdout
-        return json.loads(out)
-
-    warm = probe()  # builds every field into the empty cache
+    warm = _probe(commands, tmp_path / "cache")  # builds every field into the empty cache
     built = {f.name for f in (tmp_path / "cache").iterdir()}
     assert {"field_101.bin", "field_151.bin", "field_10037.bin"} <= built
-    cached = probe()
+    cached = _probe(commands, tmp_path / "cache")
     assert cached["import"] == []
-    for name in ("search", "packing", "shkvyu", "growth"):
+    for name in ("search", "packing", "shkvyu", "shkvyu_10037", "growth"):
         assert cached[name][:2] == [EXIT_OK, []], name
     for name in ("wsum", "nsum", "interval"):
         assert cached[name] == [EXIT_OK, ["numpy"], SWEEP_DIGESTS[name][0]], name
     assert cached["shkvyu"][2] == SWEEP_DIGESTS["shkvyu"][0]
     # a cold build and a load from the cache give the same records
     assert [warm[name][2] for name, _ in commands] == [cached[name][2] for name, _ in commands]
+
+
+def test_growth_reads_no_field_table(tmp_path, capsys):
+    """growth in a fresh process with an empty cache directory writes no
+    file and imports no numpy, at p near the table cap too, and prints
+    what it prints in this process."""
+    commands = [
+        ("small", ["growth", "--prime", "10037", "--d", "2", "--stable"]),
+        ("large", ["growth", "--prime", "1048573", "--d", "7182", "--stable"]),
+    ]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    result = _probe(commands, cache)
+    assert list(cache.iterdir()) == []
+    assert result["import"] == []
+    for name, argv in commands:
+        assert run(argv) == EXIT_OK
+        want = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert result[name] == [EXIT_OK, [], want], name
 
 
 def _lit(p, elems):

@@ -6,7 +6,14 @@ import pytest
 
 from conftest import primes_between
 from ffdecomp import experiments
-from ffdecomp.errors import BadIndex, ConfigError, DuplicateShift, ZeroSetOnly
+from ffdecomp.errors import (
+    BadIndex,
+    CompositeModulus,
+    ConfigError,
+    DuplicateShift,
+    ModulusTooLarge,
+    ZeroSetOnly,
+)
 from ffdecomp.experiments import (
     bourgain_report,
     gd_low_value,
@@ -195,6 +202,74 @@ def test_growth_coset_count_matches_the_product_set_near_the_field_cap(p, d):
         _growth_against_productset(p, d)
     finally:
         fpcore._FIELD_CACHE.pop(p, None)
+
+
+def _growth_by_table_dlogs(p, d):
+    """(grown_size, zero_in_shift) counted from the field tables: the
+    elements of G_d are exp[::d], and y, y' share a coset of G_d iff
+    dlog(y) = dlog(y') (mod d)."""
+    fld = make_field(p)
+    elems = fld.exp[::d]
+    cosets = {fld.dlog[x + 1] % d for x in elems if x != p - 1}
+    zero_in_shift = p - 1 in elems
+    return len(elems) * len(cosets) + zero_in_shift, zero_in_shift
+
+
+def _growth_pairs(p):
+    return [(p, d) for d in divisors(p - 1) if d >= 2 and (p - 1) // d >= 2]
+
+
+def test_growth_count_matches_the_table_count():
+    """The n-th power labels count what the dlog labels count, for every
+    subgroup of order >= 2 of every prime below 1000, of 10037 and of
+    65537 (where every d is a power of 2 and -1 lies in all but one G_d)."""
+    cases = [pair for p in (*primes_between(3, 999), 10037, 65537) for pair in _growth_pairs(p)]
+    assert len(cases) == 1494
+    fulls = 0
+    for p, d in cases:
+        extras = growth_exponent_report(p, d).extras
+        want = _growth_by_table_dlogs(p, d)
+        assert (extras["grown_size"], extras["zero_in_shift"]) == want, (p, d)
+        fulls += extras["grown_size"] - extras["zero_in_shift"] == p - 1
+    # both kinds occur: walks that hit every coset (and may stop early) and
+    # walks that miss one
+    assert 0 < fulls < len(cases)
+    for p in (10037, 65537):
+        fpcore._FIELD_CACHE.pop(p, None)
+
+
+@pytest.mark.parametrize(
+    "p, d, error, message",
+    [
+        (561, 2, CompositeModulus, "p = 561 is not prime"),
+        (1, 2, CompositeModulus, "p = 1: modulus must be an odd prime >= 3"),
+        (1048583, 2, ModulusTooLarge, "p = 1048583 exceeds the dlog-table cap 2**20"),
+        (13, 5, BadIndex, "need d >= 2 dividing p-1; got d = 5, p = 13"),
+        (13, 1, BadIndex, "need d >= 2 dividing p-1; got d = 1, p = 13"),
+        (10037, 10036, BadIndex, "degenerate subgroup of order 1"),
+    ],
+)
+def test_growth_refusals_write_no_cache_file(p, d, error, message, tmp_path, monkeypatch):
+    monkeypatch.setenv("FFDECOMP_CACHE_DIR", str(tmp_path))
+    fpcore._FIELD_CACHE.pop(p, None)
+    with pytest.raises(error) as info:
+        growth_exponent_report(p, d)
+    assert str(info.value) == message
+    assert list(tmp_path.iterdir()) == []
+    assert p not in fpcore._FIELD_CACHE
+
+
+def test_growth_builds_no_field(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("growth asked for a field")
+
+    monkeypatch.setattr(fpcore, "make_field", refuse)
+    monkeypatch.setattr(fpcore, "subgroup", refuse)
+    monkeypatch.setattr(experiments, "make_field", refuse)
+    monkeypatch.setattr(experiments, "subgroup", refuse)
+    assert growth_exponent_report(1048573, 7182).extras["grown_size"] > 0
+    with pytest.raises(TypeError):
+        growth_exponent_report(13.0, 3)
 
 
 def test_packing_harness_examples():
