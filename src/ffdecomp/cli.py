@@ -168,15 +168,14 @@ def parse_target(text: str, p: int | None):
         return s, {"family": "literal"}
     if p is None:
         raise ValueError(f"family {text!r} needs --prime")
-    fld = fpcore.make_field(p)
     if text == "qr":
-        return fpcore.subgroup(fld, 2), {"family": "qr", "d": 2}
+        return fpcore.subgroup(fpcore.make_field(p), 2), {"family": "qr", "d": 2}
     if text.startswith("subgroup:"):
         d = int(text.split(":", 1)[1])
-        return fpcore.subgroup(fld, d), {"family": "subgroup", "d": d}
+        return fpcore.subgroup(fpcore.make_field(p), d), {"family": "subgroup", "d": d}
     if text == "primroots":
-        n = p - 1
-        roots = [fld.exp[k] for k in range(n) if math.gcd(k, n) == 1]
+        n, exp = p - 1, fpcore.make_field(p).exp
+        roots = [exp[k] for k in range(n) if math.gcd(k, n) == 1]
         return FpSet(p, bits_from(roots, p)), {"family": "primroots"}
     if text.startswith("interval:"):
         parts = text.split(":", 1)[1].split(",")

@@ -1,26 +1,31 @@
 """Search engine for additive decompositions, self-sumsets, and packings.
 
-All three searches enumerate the translate-normalized side B (0 in B, built
-in ascending element order) and maintain the maximal companion
+Decomposition and packing enumerate the translate-normalized side B (0 in
+B, built in ascending element order) and maintain the maximal companion
 A_max(B) = intersection of S - b over b in B as a raw bit-vector.  Subtrees
 die when the companion drops below the required size, when no extension can
 reach the target product, or when the sorted sizes of the candidate
-intersections cap every reachable product below the requirement.
+intersections cap every reachable product below the requirement.  Self mode
+builds A itself in ascending order; a node's candidates are the c above
+max(A) with c + A and c + c inside S, and a subtree dies when A and its
+candidates together, m elements, have m(m + 1)/2 < #S pairwise sums.
 
 When S is a subgroup of F_p^* the whole configuration can be multiplied by
-any element of S, so the first nonzero element of B is restricted to the
+any element of S, so the first element of a partition (the first nonzero
+element of B, or the least element of A in self mode) is restricted to the
 minimum of its multiplicative coset; this is a pure symmetry quotient and
 discards no decomposition class.  The search finds the subgroup itself
-(DecompQuery.subgroup_d, from S alone), and _coset_minima lists the minima
-from n-th powers, with no field table; one condition in _run's partition
-loop applies them.
+(DecompQuery.subgroup_d, from S alone).  _run labels each first element x by
+x**#S, which names its coset, with no field table, and searches a partition
+only when its label is new: the first elements ascend, so that element is
+its coset's minimum.  It stops once all d labels have been seen.
 
 Budget: a node is one candidate examined, counting the first element of
 each partition (and, for decomposition and packing, the root B = {0}).
 When the count reaches node_budget the search stops with nodes_explored
 equal to node_budget: a search that needs N nodes stops under any budget
-up to N and runs unchanged under N + 1.  Decomposition and packing charge
-all candidates of a node at once, after the node's prunes.
+up to N and runs unchanged under N + 1.  Every mode charges a node's
+candidates at once, after the node's prunes.
 
 One setup path serves all three modes: each entry point calls _run, which
 builds one _Ctx from the query (clock, floor, node count, witnesses), seeds
@@ -39,7 +44,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ModulusTooLarge
-from .setalg import FpSet, bit_elements, cyclic_shift
+from .setalg import FpSet, bit_elements, bits_from, cyclic_shift
 
 MODE_DECOMPOSITION = "decomposition"
 MODE_SELF = "self_decomposition"
@@ -63,10 +68,10 @@ class DecompQuery:
     min_size bounds min{#A, #B} (2 = nontrivial); self-decomposition ignores
     it and accepts any nonempty A.  When S is a subgroup of F_p^* (see
     subgroup_d) the search applies the multiplicative symmetry quotient: the
-    first nonzero element of B is a coset minimum.  The first witness, and
-    the first packing optimum, are the ones the unquotiented search reports;
-    with max_witnesses > 1 the further witnesses are drawn only from
-    partitions that start at a coset minimum.
+    first nonzero element of B, or in self mode the least element of A, is a
+    coset minimum.  The first witness, and the first packing optimum, are the
+    ones the unquotiented search reports; with max_witnesses > 1 the further
+    witnesses are drawn only from partitions that start at a coset minimum.
     """
 
     S: FpSet
@@ -148,6 +153,7 @@ class _Ctx:
         "packing",
         "trans",
         "domain",
+        "domain_bits",
         "min_size",
         "max_wit",
         "node_budget",
@@ -166,18 +172,20 @@ class _Ctx:
         self.s_bits = query.S.bits
         self.mode = query.mode
         self.packing = query.mode == MODE_PACKING
-        # An accepted (A, B) has #A * #B > floor: #S - 1 when deciding
-        # S = A + B, the best product so far when packing.
-        self.floor = len(query.S) - 1 if query.mode == MODE_DECOMPOSITION else 0
+        # An accepted (A, B) has #A * #B > floor, or #A(#A + 1)/2 > floor in
+        # self mode: #S - 1 when deciding, the best product so far when packing.
+        self.floor = 0 if self.packing else len(query.S) - 1
         self.trans = None  # S - c for each c (p^2 bits): built by _run only to search
         # the candidates in ascending order; partition i starts with domain[i]
-        # and extends by domain[i + 1:]
+        # and extends by later candidates only
         if self.mode == MODE_SELF:
             # the a with a + a in S: for odd p, S dilated by 2^-1
             inv2 = pow(2, -1, p)
             self.domain = sorted(inv2 * s % p for s in bit_elements(self.s_bits))
+            self.domain_bits = bits_from(self.domain, p)
         else:
             self.domain = list(range(1, p))
+            self.domain_bits = None
         self.min_size = query.min_size
         self.max_wit = query.max_witnesses
         self.node_budget = query.node_budget
@@ -294,41 +302,26 @@ def _dfs(ctx, b_list, a_bits, a_size, cands, start):
 
 
 def _dfs_self(ctx, a_bits, sum_bits, cands):
+    """Extend A, whose sumset is sum_bits, by each bit c of cands: the c above
+    max(A) with c + A and c + c inside S.  The child keeps the c' > c with
+    c + c' in S.  A descendant's A lies in A union cands, so when those m
+    elements have m(m + 1)/2 <= floor = #S - 1 sums no descendant covers S."""
     if sum_bits == ctx.s_bits:
         _emit_pair(ctx, a_bits, bit_elements(a_bits))
-    if not cands:
+    n = cands.bit_count()
+    if not n:
         return
-    # Everything a descendant can still cover: (A union R) + R.
-    p = ctx.p
-    pool = a_bits
-    for c in cands:
-        pool |= 1 << c
-    future = sum_bits
-    for c in cands:
-        future |= cyclic_shift(pool, c, p)
-    if ctx.s_bits & ~future:
+    m = a_bits.bit_count() + n
+    if m * (m + 1) // 2 <= ctx.floor:
         return
-    trans = ctx.trans
-    for i, c in enumerate(cands):
-        ctx.tick()
-        if a_bits & ~trans[c]:
-            continue  # some a + c falls outside S
-        new_a = a_bits | (1 << c)
+    ctx.tick(n)
+    p, trans = ctx.p, ctx.trans
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        c = low.bit_length() - 1
         new_sum = sum_bits | cyclic_shift(a_bits, c, p) | (1 << (2 * c % p))
-        _dfs_self(ctx, new_a, new_sum, cands[i + 1 :])
-
-
-def _coset_minima(p: int, d: int) -> set[int]:
-    """The least element of each coset of G_d in F_p^*.  With n = (p - 1) / d,
-    x and y share a coset exactly when x**n == y**n; the scan stops once all
-    d cosets have their minimum."""
-    n = (p - 1) // d
-    minima = {}
-    for x in range(1, p):
-        minima.setdefault(pow(x, n, p), x)
-        if len(minima) == d:
-            break
-    return set(minima.values())
+        _dfs_self(ctx, a_bits | low, new_sum, cands & trans[c])
 
 
 def _search(ctx, i):
@@ -336,7 +329,8 @@ def _search(ctx, i):
     first = ctx.domain[i]
     ctx.tick()
     if ctx.mode == MODE_SELF:
-        _dfs_self(ctx, 1 << first, 1 << (2 * first % ctx.p), ctx.domain[i + 1 :])
+        tail = ctx.domain_bits >> (first + 1) << (first + 1)
+        _dfs_self(ctx, 1 << first, 1 << (2 * first % ctx.p), tail & ctx.trans[first])
         return
     a_bits = ctx.s_bits & ctx.trans[first]
     t = a_bits.bit_count()
@@ -355,8 +349,8 @@ def _run(query: DecompQuery, mode: str) -> DecompReport:
     p = query.S.p
     # when deciding, #(A+B) >= max(#A, #B) >= min_size must not exceed #S
     searches = mode != MODE_DECOMPOSITION or len(query.S) >= query.min_size
-    # refused before any setup: _Ctx is linear in p, and the table and the
-    # coset minima are built only to search
+    # refused before any setup: _Ctx is linear in p, and the table is built
+    # only to search
     if searches and p * p // 8 > TABLE_BYTES_CAP:
         raise ModulusTooLarge(
             f"p = {p}: a search table of p**2/8 bytes exceeds the 1 GiB cap (p <= 92681)"
@@ -367,11 +361,16 @@ def _run(query: DecompQuery, mode: str) -> DecompReport:
             ctx.accept(query.S, FpSet.from_elements(p, [0]))
         if searches:
             ctx.trans = [cyclic_shift(ctx.s_bits, (p - c) % p, p) for c in range(p)]
-            d = query.subgroup_d
-            minima = None if d is None else _coset_minima(p, d)
+            d, n, labels = query.subgroup_d, len(query.S), set()
             for i, first in enumerate(ctx.domain):
-                if minima is None or first in minima:
-                    _search(ctx, i)
+                if d is not None:
+                    label = pow(first, n, p)
+                    if label in labels:
+                        continue
+                    labels.add(label)
+                _search(ctx, i)
+                if len(labels) == d:
+                    break
     except (_Stop, _Done):
         pass
     if ctx.budget_hit and (ctx.packing or not ctx.witnesses):

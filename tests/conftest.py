@@ -161,6 +161,66 @@ def oracle_self_exists(s: FpSet) -> bool:
     return False
 
 
+def reference_self_search(s: FpSet, max_witnesses: int = 1):
+    """Self mode as the engine searched it before its candidates were
+    filtered, on plain ints, with no budget: (status, [A, ...]).
+
+    A grows in ascending order from each partition's first element through
+    the untested tail R of the a with a + a in S.  A node is cut when
+    (A union R) + R, everything a descendant can still add, misses part of
+    S; each candidate c of R is then tested for A + c inside S.  When S is a
+    subgroup G_d (p prime, n = #S, x**n == 1 on S) a partition starts only
+    at the least x of each class of x**n, a coset minimum.  The search stops
+    at max_witnesses witnesses.
+    """
+    p, target = s.p, s.bits
+    full = (1 << p) - 1
+
+    def rotate(bits, k):  # {x + k}
+        k %= p
+        return ((bits << k) | (bits >> (p - k))) & full
+
+    inv2 = pow(2, -1, p)
+    domain = sorted(inv2 * x % p for x in s)
+    n = len(s)
+    firsts = set(domain)
+    if (p - 1) % n == 0 and all(pow(x, n, p) == 1 for x in s) and all(
+        p % q for q in range(2, math.isqrt(p) + 1)
+    ):
+        minima = {}
+        for x in range(1, p):
+            minima.setdefault(pow(x, n, p), x)
+        firsts = set(minima.values())
+    witnesses = []
+
+    def dfs(a, sums, tail):
+        """True once the quota is met."""
+        if sums == target:
+            witnesses.append(FpSet(p, a))
+            if len(witnesses) == max_witnesses:
+                return True
+        pool = a
+        for c in tail:
+            pool |= 1 << c
+        future = sums
+        for c in tail:
+            future |= rotate(pool, c)
+        if target & ~future:
+            return False
+        for i, c in enumerate(tail):
+            if a & ~rotate(target, -c):
+                continue  # some a + c falls outside S
+            new_sums = sums | rotate(a, c) | 1 << (2 * c % p)
+            if dfs(a | 1 << c, new_sums, tail[i + 1:]):
+                return True
+        return False
+
+    for i, first in enumerate(domain):
+        if first in firsts and dfs(1 << first, 1 << (2 * first % p), domain[i + 1:]):
+            break
+    return ("found" if witnesses else "exhausted_none"), witnesses
+
+
 def oracle_max_packing(s: FpSet) -> int:
     p, mask = s.p, (1 << s.p) - 1
     best = 0
@@ -173,6 +233,23 @@ def oracle_max_packing(s: FpSet) -> int:
             companion &= cyclic_shift(s.bits, (p - (low.bit_length() - 1)) % p, p)
         best = max(best, companion.bit_count() * b_bits.bit_count())
     return best
+
+
+def interval_reference(p: int, m: int, n: int, a: FpSet, b: FpSet):
+    """The counts of experiments.interval_mult_report the way it once took
+    them: (J, J_fourier, is_decomposition).  J counts the pairs with a*b in
+    the interval {m+1, ..., m+n} by a double loop; J_fourier expands both
+    indicators through the full p x p phase matrix e(-lam * x / p)."""
+    import numpy as np
+
+    interval = {(m + i) % p for i in range(1, n + 1)}
+    prods = [x * y % p for x in a for y in b]
+    ind = np.zeros(p)
+    ind[sorted(interval)] = 1.0
+    counts = np.bincount(prods, minlength=p).astype(np.float64)
+    phases = np.exp(-2j * np.pi / p * np.outer(np.arange(p), np.arange(p)))
+    j_fourier = float((np.conj(phases @ ind) * (phases @ counts)).sum().real / p)
+    return sum(u in interval for u in prods), j_fourier, set(prods) == interval
 
 
 def exact_int(tally: RootOfUnityTally):

@@ -19,6 +19,7 @@ import pytest
 from conftest import (
     conjugation_instances,
     indicator_identity_holds,
+    interval_reference,
     naive_productset,
     primes_between,
     naive_sumset,
@@ -216,8 +217,15 @@ def test_criterion_09_bourgain_inequality():
 def test_criterion_10_interval_products():
     count = 0
     for inst in interval_instances(primes_between(5, 101), 200, SEED):
-        rep = interval_mult_report(inst["p"], inst["m"], inst["n"], inst["A"], inst["B"])
+        p = inst["p"]
+        rep = interval_mult_report(p, inst["m"], inst["n"], inst["A"], inst["B"])
         assert rep.ok, inst
+        j, j_fourier, is_decomposition = interval_reference(
+            p, inst["m"], inst["n"], inst["A"], inst["B"]
+        )
+        assert (rep.extras["J"], rep.extras["is_decomposition"]) == (j, is_decomposition), inst
+        assert abs(rep.extras["J_fourier"] - j_fourier) <= 1e-9 * p * p, inst
+        assert abs(j_fourier - j) <= rep.tolerance, inst
         count += 1
     assert count == 200
     witness = interval_mult_report(

@@ -391,6 +391,29 @@ def test_cache_dir_flag(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "field_10037.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["shkvyu", "--prime", "1048573", "--d", "5", "--shifts", "1,2"],
+         "need d >= 2 dividing p-1; got d = 5, p = 1048573"),
+        (["interval", "--prime", "100003", "--set", "interval:0,5", "--set", "7:{1}",
+          "--set", "100003:{2}"],
+         "set literal modulus 7 disagrees with --prime 100003"),
+    ],
+    ids=["shkvyu-bad-d", "interval-bad-set"],
+)
+def test_refused_commands_write_no_cache_file(argv, message, tmp_path, capsys):
+    # Each input is checked before the field of p is loaded or built.
+    import ffdecomp.fpcore as fpcore
+
+    p = int(argv[2])
+    fpcore._FIELD_CACHE.pop(p, None)
+    assert run([*argv, "--cache-dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+    assert p not in fpcore._FIELD_CACHE
+
+
 def test_cache_dir_flag_holds_for_one_run_only(tmp_path, capsys, monkeypatch):
     import ffdecomp.fpcore as fpcore
 
@@ -453,8 +476,8 @@ SWEEP_DIGESTS = {
                "144af8b0491c302509fd4a2cca821e294f6afbe2bd17795330467eb4aab00fa7"),
     "growth": ("93010b0133efab6fc45253b301c78678a3f9ffafe3c17c26bf7b381f3ad6cfe0",
                "10ffa90d6f5c05838669da9a7eede6e2d5b4aecec9b383c93306385e0dd06452"),
-    "interval": ("f9b728f5846e97954547ce7be6e9d46b734a774756d11905ecfc986c987cd24d",
-                 "963360f48465ddd7bb349aef444e0de492b8a688b2336b66baafe6a45d44d06b"),
+    "interval": ("ec52fdf1c743acc477301ea7f205ab7337974170e93d42e9c9a6c63ded6a2f42",
+                 "7fa209a455d788aac32429ae09e6214c5e8e85b9043f823c07688b37f6dab6c0"),
     "bourgain": ("e13a358f0eee7d46f444016d5bc73e03c93a383ef4f8b3462f77683c2015629e",
                  "8859e88190bcec5fc80ff9b836b5faea367c264c78827befc6da9df30d4c6b98"),
 }

@@ -12,6 +12,8 @@ from conftest import (
     oracle_decomposition_exists_normalized,
     oracle_max_packing,
     oracle_self_exists,
+    primes_between,
+    reference_self_search,
 )
 from ffdecomp import decomp, fpcore
 from ffdecomp.decomp import (
@@ -412,6 +414,49 @@ def test_qr_151_certificate_node_count():
     assert r.nodes_explored == 650_035
 
 
+def _self_grid(name):
+    """(S, max_witnesses) for each target of one self-mode grid."""
+    if name == "subgroups":  # every G_d with 5 <= p < 200
+        for p in primes_between(5, 199):
+            for d in divisors(p - 1):
+                yield subgroup(make_field(p), d), 1
+    elif name == "random":
+        rng = random.Random(1)
+        for _ in range(600):
+            p = rng.choice(primes_between(5, 31))
+            yield FpSet(p, rng.getrandbits(p) or 1), 3
+    else:  # S = A + A, #A <= 7
+        rng = random.Random(2)
+        for _ in range(200):
+            p = rng.choice(primes_between(5, 101))
+            a = rng.sample(range(p), rng.randint(1, min(7, p)))
+            yield FpSet.from_elements(p, {(x + y) % p for x in a for y in a}), 2
+
+
+@pytest.mark.parametrize("grid", ["subgroups", "random", "sumsets"])
+def test_self_mode_matches_the_reference_kernel(grid):
+    # The reference tests each candidate against A and prunes by coverage;
+    # the engine filters each child's candidates and prunes by counting.
+    # Both walk A in the same order, so status and witnesses must agree.
+    found = 0
+    for s, max_wit in _self_grid(grid):
+        r = run_query(DecompQuery(S=s, mode="self_decomposition", max_witnesses=max_wit))
+        status, witnesses = reference_self_search(s, max_wit)
+        assert (r.status, [a for a, _ in r.witnesses]) == (status, witnesses), s
+        assert all(a == b for a, b in r.witnesses), s
+        found += status == "found"
+    assert found > 0
+
+
+def test_qr_self_certificates():
+    # No A has A + A = QR(p).  The node counts pin the candidate filter and
+    # the counting bound: a kernel that cuts more or less of the tree moves
+    # them.  The kernel before them ran out of 10**7 nodes at p = 1009.
+    for p, nodes in ((61, 21), (151, 254), (307, 2_913), (1009, 219_007)):
+        r = run_query(DecompQuery(S=qr(p), mode="self_decomposition", node_budget=10**7))
+        assert (r.status, r.witnesses, r.nodes_explored) == ("exhausted_none", [], nodes), p
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_all_modes_match_oracles_on_random_targets(data):
@@ -463,7 +508,6 @@ def test_oversized_search_is_refused_before_any_setup(monkeypatch):
 
     monkeypatch.setattr(fpcore, "make_field", no_setup)
     monkeypatch.setattr(decomp, "_Ctx", no_setup)
-    monkeypatch.setattr(decomp, "_coset_minima", no_setup)
     query = DecompQuery(S=s, mode="decomposition")
     assert query.subgroup_d == d
     with pytest.raises(ModulusTooLarge):

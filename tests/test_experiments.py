@@ -272,6 +272,30 @@ def test_growth_builds_no_field(monkeypatch):
         growth_exponent_report(13.0, 3)
 
 
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda p, d: shkvyu_report(p, d, [1, 2]),
+        packing_bound_harness,
+        lambda p, d: w_identity_report(p, d, fpset(p, 1, 2)),
+        lambda p, d: n_count_report(p, d, fpset(p, 1, 2)),
+        subgroup_ratio_report,
+    ],
+    ids=["shkvyu", "packing", "wsum", "nsum", "ratio"],
+)
+def test_bad_index_refusals_write_no_cache_file(report, tmp_path, monkeypatch):
+    # d is checked before the field is loaded or built, so a refused d
+    # leaves neither a cache file nor a memoized field.
+    monkeypatch.setenv("FFDECOMP_CACHE_DIR", str(tmp_path))
+    for p, d in ((13, 5), (13, 1), (10037, 10035)):
+        fpcore._FIELD_CACHE.pop(p, None)
+        with pytest.raises(BadIndex) as info:
+            report(p, d)
+        assert str(info.value) == f"need d >= 2 dividing p-1; got d = {d}, p = {p}"
+        assert list(tmp_path.iterdir()) == []
+        assert p not in fpcore._FIELD_CACHE
+
+
 def test_packing_harness_examples():
     rep = packing_bound_harness(7, 2)
     assert rep.lhs == 3 and rep.rhs == 7 and rep.ok
