@@ -2,10 +2,10 @@
 
 Library surface, the names the CLI and the reports run: prime-field
 contexts with full discrete-log tables, bitset subsets of Z_p with exact
-set algebra (product sets in discrete-log space, so they take the field),
-multiplicative characters with exact root-of-unity tallies, a pruned
-exhaustive search engine for decompositions S = A + B, and one verifier
-per supporting estimate.
+set algebra, multiplicative characters with exact root-of-unity tallies, a
+pruned exhaustive search engine for decompositions S = A + B, and one
+verifier per supporting estimate.  Callers pass p, never a field: only
+code that reads discrete logs (character sums, product sets) loads one.
 """
 
 from .charsum import (

@@ -1,9 +1,9 @@
 """Multiplicative characters of F_p^* and exact character-sum accumulation.
 
-A character of order dividing d is indexed against the field's primitive
-root: chi_j(g**k) = zeta_d**(j*k).  Sums are accumulated as integer counts
-per d-th root of unity, so floating point enters only at the final
-magnitude extraction.
+A character of order dividing d is indexed against the primitive root g
+of the field of p: chi_j(g**k) = zeta_d**(j*k).  The sums read that field's
+dlog table and accumulate integer counts per d-th root of unity, so
+floating point enters only at the final magnitude extraction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import polyfp
 from .errors import BadIndex
-from .fpcore import PrimeField
+from .fpcore import check_modulus, make_field
 from .reports import BoundReport
 from .setalg import FpSet
 
@@ -24,18 +24,19 @@ MAGNITUDE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Character:
-    """chi_j in X_d: the character sending g**k to zeta_d**(j*k).
+    """chi_j in X_d: the character of F_p^* sending g**k to zeta_d**(j*k).
 
     j = 0 is the principal character; chi_j has order d / gcd(j, d).
-    chi(0) contributes zero by convention.
+    chi(0) contributes zero by convention.  Checks p, then d and j.
     """
 
-    field: PrimeField
+    p: int
     d: int
     j: int
 
     def __post_init__(self):
-        p = self.field.p
+        p = self.p
+        check_modulus(p)
         if self.d < 1 or (p - 1) % self.d != 0:
             raise BadIndex(f"character order context d = {self.d} must divide p-1 = {p - 1}")
         if not 0 <= self.j < self.d:
@@ -86,10 +87,10 @@ class RootOfUnityTally:
 
 def poly_char_sum(chi: Character, coeffs: list[int]) -> RootOfUnityTally:
     """Exact tally of chi(F(x)) over all x in F_p."""
-    p = chi.field.p
+    p = chi.p
     coeffs = polyfp.normalize(coeffs, p)
     tally = RootOfUnityTally(chi.d)
-    dl = chi.field.dlog
+    dl = make_field(p).dlog
     j, d = chi.j, chi.d
     for x in range(p):
         v = polyfp.evaluate(coeffs, x, p)
@@ -108,7 +109,7 @@ def weil_report(chi: Character, coeffs: list[int]) -> BoundReport:
     power.  For D = 1 the degenerate bound 0 is replaced by 1 (an admissible
     F with a single root gives a complete sum of magnitude at most 1).
     """
-    p = chi.field.p
+    p = chi.p
     d_ord = chi.order
     if d_ord < 2:
         raise BadIndex("Weil comparison needs a non-principal character")
@@ -150,14 +151,14 @@ def double_char_sum(chi: Character, a: FpSet, b: FpSet) -> RootOfUnityTally:
     product of two 4p-byte integers plus O(p) interpreter steps rather than
     O(#A * #B).
     """
-    p = chi.field.p
+    p = chi.p
     if a.p != p or b.p != p:
         raise BadIndex("sets must live in the character's field")
     tally = RootOfUnityTally(chi.d)
     if a.bits == 0 or b.bits == 0:
         return tally
     pairs = struct.unpack(f"<{2 * p}I", (_slots(a) * _slots(b)).to_bytes(8 * p, "little"))
-    dlog, j, d = chi.field.dlog, chi.j, chi.d
+    dlog, j, d = make_field(p).dlog, chi.j, chi.d
     tally.zeros = pairs[0] + pairs[p]
     for x in range(1, p):
         count = pairs[x] + pairs[x + p]
@@ -183,7 +184,7 @@ def vinogradov_check(chi: Character, a: FpSet, b: FpSet) -> BoundReport:
         raise BadIndex("bound needs a non-principal character")
     if a.bits == 0 or b.bits == 0:
         raise ValueError("A and B must be nonempty")
-    p = chi.field.p
+    p = chi.p
     lhs = double_char_sum(chi, a, b).magnitude()
     rhs = math.sqrt(p * len(a) * len(b))
     return BoundReport(
@@ -212,7 +213,7 @@ def karatsuba_ratio(chi: Character, a: FpSet, b: FpSet, nu: int) -> BoundReport:
         raise BadIndex("envelope comparison needs a non-principal character")
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
-    p = chi.field.p
+    p = chi.p
     lhs = double_char_sum(chi, a, b).magnitude()
     envelope = karatsuba_envelope(p, len(a), len(b), nu)
     ratio = lhs / envelope if envelope > 0 else 0.0

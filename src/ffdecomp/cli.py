@@ -169,13 +169,13 @@ def parse_target(text: str, p: int | None):
     if p is None:
         raise ValueError(f"family {text!r} needs --prime")
     if text == "qr":
-        return fpcore.subgroup(fpcore.make_field(p), 2), {"family": "qr", "d": 2}
+        return fpcore.subgroup(p, 2), {"family": "qr", "d": 2}
     if text.startswith("subgroup:"):
         d = int(text.split(":", 1)[1])
-        return fpcore.subgroup(fpcore.make_field(p), d), {"family": "subgroup", "d": d}
+        return fpcore.subgroup(p, d), {"family": "subgroup", "d": d}
     if text == "primroots":
-        n, exp = p - 1, fpcore.make_field(p).exp
-        roots = [exp[k] for k in range(n) if math.gcd(k, n) == 1]
+        fpcore.check_modulus(p)
+        roots = [x for k, x in enumerate(fpcore.powers(p, 1)) if math.gcd(k, p - 1) == 1]
         return FpSet(p, bits_from(roots, p)), {"family": "primroots"}
     if text.startswith("interval:"):
         parts = text.split(":", 1)[1].split(",")
@@ -389,7 +389,7 @@ def _run_packing(inst: dict) -> dict:
 
 
 def _character(inst: dict) -> Character:
-    return Character(fpcore.make_field(inst["p"]), inst["d"], inst["j"])
+    return Character(inst["p"], inst["d"], inst["j"])
 
 
 def _character_args(args) -> dict:

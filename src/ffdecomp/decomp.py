@@ -241,10 +241,9 @@ def _emit_pair(ctx, a_bits, b_list):
 
 
 def _dfs(ctx, b_list, a_bits, a_size, cands, start):
-    """Extend B by the candidates cands[start:], which share the parent's list."""
+    """Extend B (#B <= #A: the root has #B = 2, a child #A >= need) by the
+    candidates cands[start:], which share the parent's list."""
     nb = len(b_list)
-    if nb > a_size:
-        return
     ms = ctx.min_size
     if nb >= ms and a_size >= ms and a_size * nb > ctx.floor:
         if ctx.packing:

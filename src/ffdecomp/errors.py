@@ -24,8 +24,7 @@ class BadIndex(FFDecompError):
 
 
 class MixedModulus(FFDecompError):
-    """Binary set operation applied to sets over different ambient moduli,
-    or to a field of another modulus."""
+    """Binary set operation applied to sets over different ambient moduli."""
 
 
 class DuplicateShift(FFDecompError):

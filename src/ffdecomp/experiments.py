@@ -61,20 +61,19 @@ def _check_index(p: int, d: int) -> None:
         raise BadIndex(f"need d >= 2 dividing p-1; got d = {d}, p = {p}")
 
 
-def _validate_subgroup_args(p: int, d: int):
-    # d first, so that a refused d loads, builds and caches no field
+def _validate_subgroup_args(p: int, d: int) -> FpSet:
+    # d first: a refused d gives this message, not subgroup's
     _check_index(p, d)
-    fld = make_field(p)
-    return fld, subgroup(fld, d)
+    return subgroup(p, d)
 
 
-def _character_expansions(fld, d: int, b_elems):
+def _character_expansions(p: int, d: int, b_elems):
     """For each b in B, the array over x in F_p^* of sum_j chi^j(x^d - b),
     chi a character of order d: d where x^d - b is a nonzero d-th power,
     0 elsewhere (and 0 where x^d = b), in complex arithmetic."""
     import numpy as np
 
-    p = fld.p
+    fld = make_field(p)
     # int64, not the table's int32, so products such as j * dlog cannot overflow
     dlog_np = np.frombuffer(fld.dlog, dtype=np.intc).astype(np.int64)
     exp_np = np.array(fld.exp, dtype=np.int64)
@@ -105,7 +104,7 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
     """
     import numpy as np
 
-    fld, sub = _validate_subgroup_args(p, d)
+    sub = _validate_subgroup_args(p, d)
     if b_set.p != p:
         raise BadIndex("B lives in a different ambient modulus")
     if b_set.bits == 0:
@@ -125,7 +124,7 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
 
     # (ii) full character expansion in complex arithmetic
     factors = np.ones(p - 1, dtype=complex)
-    for inner in _character_expansions(fld, d, b_elems):
+    for inner in _character_expansions(p, d, b_elems):
         factors *= 1 - inner / d
     w_char = complex(factors.sum())
 
@@ -180,7 +179,7 @@ def n_count_report(p: int, d: int, b_star: FpSet) -> BoundReport:
     translate by B*, by direct enumeration and by character expansion."""
     import numpy as np
 
-    fld, sub = _validate_subgroup_args(p, d)
+    sub = _validate_subgroup_args(p, d)
     if b_star.p != p:
         raise BadIndex("B* lives in a different ambient modulus")
     if b_star.bits == 0:
@@ -195,7 +194,7 @@ def n_count_report(p: int, d: int, b_star: FpSet) -> BoundReport:
             n_direct += 1
 
     factors = np.ones(p - 1, dtype=complex)
-    for inner in _character_expansions(fld, d, b_elems):
+    for inner in _character_expansions(p, d, b_elems):
         factors *= inner
     n_char = complex(factors.sum()) / d ** (length + 1)
 
@@ -225,7 +224,7 @@ def n_count_report(p: int, d: int, b_star: FpSet) -> BoundReport:
 def shkvyu_report(p: int, d: int, shifts) -> BoundReport:
     """Size of the intersection of shifted subgroups against the
     4m((#G)^(1/(2m-1)) + 1)^m bound, gated on the size hypothesis for p."""
-    fld, sub = _validate_subgroup_args(p, d)
+    sub = _validate_subgroup_args(p, d)
     shifts = [s % p for s in shifts]
     m = len(shifts)
     if m < 2:
@@ -276,24 +275,21 @@ def growth_exponent_report(p: int, d: int, eps: float = DEFAULT_SIZE_EPSILON) ->
     one for 0.  -1 is the one element of order 2 of F_p^*, and the cyclic
     group G of order n holds an element of order 2 iff n is even.
 
-    G is walked as h**k, h = g**d for the primitive root g (h has order n).
-    There are exactly d cosets, so once d labels are seen every coset is
-    hit and the rest of the walk cannot change the count: it stops there.
+    fpcore.powers walks G as h**k, h = g**d of order n.  There are exactly
+    d cosets, so once d labels are seen every coset is hit and the rest of
+    the walk cannot change the count: it stops there.
     """
     fpcore.check_modulus(p)
     _check_index(p, d)
     order = (p - 1) // d
     if order < 2:
         raise BadIndex(f"degenerate subgroup of order {order}")
-    h = pow(fpcore.smallest_primitive_root(p), d, p)
     labels = set()
-    x = 1
-    for _ in range(order):
+    for x in fpcore.powers(p, d):
         if x != p - 1:
             labels.add(pow(x + 1, order, p))
             if len(labels) == d:
                 break
-        x = x * h % p
     zero_in_shift = order % 2 == 0
     grown_size = order * len(labels) + zero_in_shift
     e = math.log(grown_size) / math.log(order)
@@ -325,7 +321,7 @@ def packing_bound_harness(
 ) -> BoundReport:
     """Exhaustive maximal packing A + B inside G_d, asserting the exact
     product cap #A * #B <= p, plus envelope ratios at the maximizer."""
-    fld, sub = _validate_subgroup_args(p, d)
+    sub = _validate_subgroup_args(p, d)
     query = DecompQuery(
         S=sub,
         mode="packing",
@@ -337,7 +333,7 @@ def packing_bound_harness(
     product = result.extras.get("product", 0)
     complete = result.status == "found"
     witness_a, witness_b = result.witnesses[0]
-    chi = Character(fld, d, 1)
+    chi = Character(p, d, 1)
     tally = double_char_sum(chi, witness_a, witness_b)
     char_sum_is_product = (
         tally.zeros == 0
@@ -370,8 +366,8 @@ def packing_bound_harness(
 
 def subgroup_ratio_report(p: int, d: int, nus=(1, 2, 3)) -> BoundReport:
     """Envelope ratios for the double sum over A = B = G_d; report-only."""
-    fld, g = _validate_subgroup_args(p, d)
-    chi = Character(fld, d, 1)
+    g = _validate_subgroup_args(p, d)
+    chi = Character(p, d, 1)
     lhs = double_char_sum(chi, g, g).magnitude()
     ratios = {}
     for nu in nus:
@@ -452,14 +448,14 @@ def interval_mult_report(p: int, m: int, n: int, a: FpSet, b: FpSet) -> BoundRep
 def bourgain_report(p: int, a: FpSet, b: FpSet) -> BoundReport:
     """Difference-set growth of the 8-fold sumset of A*B against
     min(#A * #B, p - 1) / 2; constant-free, always asserted."""
-    fld = make_field(p)
+    fpcore.check_modulus(p)
     if a.p != p or b.p != p:
         raise BadIndex("sets must share the modulus")
     if a.bits == 0 or b.bits == 0:
         raise ValueError("A and B must be nonempty")
     if a.bits == 1 or b.bits == 1:
         raise ZeroSetOnly("operand equals {0}")
-    ab = productset(a, b, fld)
+    ab = productset(a, b)
     eight = iterated_sumset(ab, 8)
     diff = sumset(eight, affine(eight, -1, 0))
     lhs = len(diff)
@@ -569,7 +565,7 @@ def wsum_instances(primes, count, seed, b_max):
     remainder split is an exact identity (see w_identity_report)."""
     for i, rng, p in _draws(primes, count, seed, "wsum"):
         d = _random_d(rng, p)
-        g_elems = set(subgroup(make_field(p), d))
+        g_elems = set(subgroup(p, d))
         b = random_small_fpset(rng, p, b_max, exclude=g_elems)
         yield {"index": i, "p": p, "d": d, "B": b}
 

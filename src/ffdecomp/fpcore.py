@@ -2,21 +2,18 @@
 
 A PrimeField fixes the smallest primitive root g of p and tabulates the
 discrete logarithm of every nonzero residue, so that character evaluation
-and subgroup membership reduce to one table lookup.  Each table is a flat
+and product sets reduce to table lookups.  Each table is a flat
 array("i"), four bytes per residue, whose items read back as Python ints.
 Tables are cached on disk, one binary file per modulus holding both tables
 and a CRC-32 of them.  A load reads each table in place (readinto) into an
 array("i") allocated once at its full size, and imports nothing; only a
 cold build imports numpy, inside _build_field, whose baby-step giant-step
 blocks are about ten times faster than a Python loop at p near 2**20.
-Fields are memoized per modulus and subgroups per (field, d); the subgroup
-bits come from setalg.bits_from, linear in p.
-
-check_modulus holds the refusals make_field runs before a load or build
-(not an int, p >= 2**20, not an odd prime).  A caller that needs only the
-arithmetic of G_d, not its bit set, runs the same check and walks
-powers of smallest_primitive_root(p)**d with pow, reading no table: the
-growth records of experiments.growth_exponent_report do this.
+Fields are memoized per modulus, and only code that reads dlog or exp
+loads one.  G_d has one enumeration, powers, which walks g**(d*k) with no
+table; subgroup memoizes its bit set per (p, d).  check_modulus holds the
+refusals make_field runs before a load or build (not an int, p >= 2**20,
+not an odd prime); every caller that takes p runs it.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ _CACHE_VERSION = 2
 _HEADER = struct.Struct("<BQQI")
 
 _FIELD_CACHE: dict[int, "PrimeField"] = {}
+_SUBGROUPS: dict[tuple[int, int], FpSet] = {}
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -118,14 +116,13 @@ class PrimeField:
     Instances are built once per modulus and shared; never mutate them.
     """
 
-    __slots__ = ("p", "g", "dlog", "exp", "_subgroups")
+    __slots__ = ("p", "g", "dlog", "exp")
 
     def __init__(self, p: int, g: int, dlog: array, exp: array):
         self.p = p
         self.g = g
         self.dlog = dlog
         self.exp = exp
-        self._subgroups: dict[int, FpSet] = {}
 
     def __repr__(self):
         return f"PrimeField(p={self.p}, g={self.g})"
@@ -258,14 +255,24 @@ def make_field(p: int, cache_dir: str | Path | None = None) -> PrimeField:
     return fld
 
 
-def subgroup(fld: PrimeField, d: int) -> FpSet:
-    """G_d = {x**d : x in F_p^*} = {g**k : d | k}, memoized per (field, d)."""
-    p = fld.p
+def powers(p: int, d: int):
+    """g**(d*k) mod p for k < (p - 1)/d, g the smallest primitive root, by
+    repeated multiplication: for d | p - 1, G_d in the order of its logs."""
+    h = pow(smallest_primitive_root(p), d, p)
+    x = 1
+    for _ in range((p - 1) // d):
+        yield x
+        x = x * h % p
+
+
+def subgroup(p: int, d: int) -> FpSet:
+    """G_d = {x**d : x in F_p^*} = {g**k : d | k}, memoized per (p, d);
+    built from powers, it reads no field table."""
     d = operator.index(d)
-    if d < 1 or (p - 1) % d != 0:
-        raise BadIndex(f"d = {d} does not divide p-1 = {p - 1}")
-    sub = fld._subgroups.get(d)
+    sub = _SUBGROUPS.get((p, d)) if isinstance(p, int) else None  # 5.0 hashes like 5
     if sub is None:
-        sub = FpSet(p, bits_from(fld.exp[::d], p))
-        fld._subgroups[d] = sub
+        check_modulus(p)
+        if d < 1 or (p - 1) % d != 0:
+            raise BadIndex(f"d = {d} does not divide p-1 = {p - 1}")
+        sub = _SUBGROUPS[p, d] = FpSet(p, bits_from(powers(p, d), p))
     return sub

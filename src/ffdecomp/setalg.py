@@ -3,10 +3,10 @@
 An FpSet stores its ambient modulus p and one Python integer whose bit i
 is set exactly when i belongs to the set.  Sumsets become OR-folds of
 cyclic shifts, intersections become AND, and cardinality is a popcount,
-all word-parallel.  Product sets need the field context of p: they are
-taken in discrete-log space, where multiplying by a fixed element is a
-cyclic shift of p-1 bits.  Values are immutable; every operation returns a
-new set.
+all word-parallel.  Product sets load the field of p (fpcore.make_field):
+they are taken in discrete-log space, where multiplying by a fixed element
+is a cyclic shift of p-1 bits.  Values are immutable; every operation
+returns a new set.
 
 Vectors go to and from element lists only through bit_elements and
 bits_from, which are linear in the bit length: setting or clearing one bit
@@ -119,16 +119,17 @@ def sumset(a: FpSet, b: FpSet) -> FpSet:
     return FpSet(p, out)
 
 
-def productset(a: FpSet, b: FpSet, fld) -> FpSet:
-    """A * B = {x * y mod p}, for the field context fld of the same modulus p.
+def productset(a: FpSet, b: FpSet) -> FpSet:
+    """A * B = {x * y mod p}, for an odd prime p < 2**20.
 
     Zero is handled apart; the nonzero part is computed in discrete-log
     space, where multiplication by a fixed element is a cyclic shift mod p-1.
     """
+    from .fpcore import make_field  # fpcore builds its sets with this module
+
     _check_same(a, b)
     p = a.p
-    if fld.p != p:
-        raise MixedModulus(f"field modulus {fld.p} differs from the sets' modulus {p}")
+    fld = make_field(p)
     if a.bits == 0 or b.bits == 0:
         return FpSet(p, 0)
     out = 0
@@ -207,16 +208,13 @@ def growth_product(a: FpSet, b: int) -> FpSet:
     result is also computed through the conjugation identity
     A(A+b) = b^2 * (b^{-1}A)(b^{-1}A + 1) and the two must agree exactly.
     """
-    from .fpcore import make_field
-
     p = a.p
-    fld = make_field(p)
     b %= p
-    direct = productset(a, a.translate(b), fld)
+    direct = productset(a, a.translate(b))
     if b != 0 and a.bits:
         binv = pow(b, -1, p)
         scaled = affine(a, binv, 0)
-        conj = affine(productset(scaled, scaled.translate(1), fld), b * b % p, 0)
+        conj = affine(productset(scaled, scaled.translate(1)), b * b % p, 0)
         if direct != conj:
             raise AssertionError(f"conjugation identity violated at p={p}, b={b}")
     return direct

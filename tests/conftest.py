@@ -287,7 +287,7 @@ def indicator_identity_holds(fld, d: int) -> bool:
     # Membership table must match the dlog divisibility criterion.
     dl = fld.dlog
     member_bits = bits_from([x for x in range(1, fld.p) if dl[x] % d == 0], fld.p)
-    if member_bits != subgroup(fld, d).bits:
+    if member_bits != subgroup(fld.p, d).bits:
         return False
     for k_class in range(d):
         tally = RootOfUnityTally(d)

@@ -78,14 +78,13 @@ def test_criterion_01_indicator_identity():
 def test_criterion_02_weil_bound():
     count = 0
     for inst in weil_instances(primes_between(5, 997), 200, SEED, deg_max=6):
-        fld = make_field(inst["p"])
-        rep = weil_report(Character(fld, inst["d"], inst["j"]), inst["poly"])
+        rep = weil_report(Character(inst["p"], inst["d"], inst["j"]), inst["poly"])
         assert rep.hypothesis_ok, inst
         assert rep.ok, inst
         count += 1
     assert count == 200
     # hypothesis failures must be flagged, not asserted
-    rep = weil_report(Character(make_field(7), 2, 1), [0, 0, 1])
+    rep = weil_report(Character(7, 2, 1), [0, 0, 1])
     assert rep.hypothesis_ok is False and rep.ok is None
     _pass(2, "complete-sum bound on 200 admissible instances; x^2 flagged")
 
@@ -93,8 +92,7 @@ def test_criterion_02_weil_bound():
 def test_criterion_03_vinogradov_bound():
     count = 0
     for inst in vinogradov_instances(primes_between(5, 499), 500, SEED):
-        fld = make_field(inst["p"])
-        rep = vinogradov_check(Character(fld, inst["d"], inst["j"]), inst["A"], inst["B"])
+        rep = vinogradov_check(Character(inst["p"], inst["d"], inst["j"]), inst["A"], inst["B"])
         assert rep.ok, inst
         count += 1
     assert count == 500
@@ -105,7 +103,7 @@ def test_criterion_04_sarkozy_quadratic_residues():
     for p in primes_up_to(37):
         if p < 5:
             continue
-        s = subgroup(make_field(p), 2)
+        s = subgroup(p, 2)
         r = run_query(DecompQuery(S=s, mode="decomposition"))
         assert r.status == "exhausted_none", (p, r.status)
     _pass(4, "quadratic residues indecomposable for all 5 <= p <= 37 (exhaustive)")
@@ -119,7 +117,7 @@ def test_criterion_04_sarkozy_all_subgroups():
         for d in divisors(p - 1)
         if 2 <= d < p - 1
     ]
-    targets = {(p, d): subgroup(make_field(p), d) for p, d in pairs}
+    targets = {(p, d): subgroup(p, d) for p, d in pairs}
 
     # closed form: an order-4 subgroup is {1, i, -1, -i} with i^2 = -1, and
     # {1, -i} + {0, i - 1} = {1, i, -i, -1} is a split with both parts of size 2
@@ -161,7 +159,7 @@ def test_criterion_05_shkredov_self_decomposition():
     for p in primes_up_to(61):
         if p < 5:
             continue
-        s = subgroup(make_field(p), 2)
+        s = subgroup(p, 2)
         r = run_query(DecompQuery(S=s, mode="self_decomposition"))
         assert r.status == "exhausted_none", (p, r.status)
     _pass(5, "no A with A+A = QR(p) for any 5 <= p <= 61 (exhaustive)")
@@ -239,11 +237,10 @@ def test_criterion_11_conjugation_identity():
     count = 0
     for inst in conjugation_instances(primes_between(5, 199), 500, SEED):
         p, a, b = inst["p"], inst["A"], inst["b"]
-        fld = make_field(p)
-        direct = productset(a, affine(a, 1, b), fld)
+        direct = productset(a, affine(a, 1, b))
         binv = pow(b, -1, p)
         scaled = affine(a, binv, 0)
-        conjugated = affine(productset(scaled, affine(scaled, 1, 1), fld), b * b % p, 0)
+        conjugated = affine(productset(scaled, affine(scaled, 1, 1)), b * b % p, 0)
         assert direct == conjugated, inst
         count += 1
     assert count == 500
@@ -255,7 +252,7 @@ def test_criterion_12_setalg_oracle_equivalence():
     for inst in setalg_oracle_instances(primes_between(3, 199), 1000, SEED):
         a, b = inst["A"], inst["B"]
         assert set(sumset(a, b)) == naive_sumset(a, b), inst
-        assert set(productset(a, b, make_field(inst["p"]))) == naive_productset(a, b), inst
+        assert set(productset(a, b)) == naive_productset(a, b), inst
         count += 1
     assert count == 1000
     _pass(12, "bitset sumset and dlog-space productset equal naive double loops, 1000/1000")

@@ -20,21 +20,21 @@ from ffdecomp.charsum import (
     vinogradov_check,
     weil_report,
 )
-from ffdecomp.errors import BadIndex
+from ffdecomp.errors import BadIndex, CompositeModulus, ModulusTooLarge
 from ffdecomp.fpcore import divisors, make_field, primes_up_to
 from ffdecomp.setalg import FpSet
 
 
 def legendre7():
-    return Character(make_field(7), 2, 1)
+    return Character(7, 2, 1)
 
 
 def char_eval(chi, x):
     """Root-of-unity index of chi(x), or None for the zero element."""
-    x %= chi.field.p
+    x %= chi.p
     if x == 0:
         return None
-    return chi.j * chi.field.dlog[x] % chi.d
+    return chi.j * make_field(chi.p).dlog[x] % chi.d
 
 
 def indicator_tally(fld, d, v):
@@ -66,21 +66,24 @@ def test_char_eval_examples():
     leg = legendre7()
     assert char_eval(leg, 3) == 1  # 3 is a non-residue mod 7
     assert char_eval(leg, 2) == 0  # 2 is a residue
-    principal = Character(make_field(7), 2, 0)
+    principal = Character(7, 2, 0)
     for x in range(1, 7):
         assert char_eval(principal, x) == 0
     assert char_eval(leg, 0) is None
 
 
 def test_character_validation_and_order():
-    fld = make_field(13)
-    assert Character(fld, 6, 1).order == 6
-    assert Character(fld, 6, 4).order == 3
-    assert Character(fld, 6, 0).is_principal
+    assert Character(13, 6, 1).order == 6
+    assert Character(13, 6, 4).order == 3
+    assert Character(13, 6, 0).is_principal
     with pytest.raises(BadIndex):
-        Character(fld, 5, 1)  # 5 does not divide 12
+        Character(13, 5, 1)  # 5 does not divide 12
     with pytest.raises(BadIndex):
-        Character(fld, 6, 6)
+        Character(13, 6, 6)
+    with pytest.raises(CompositeModulus):  # p is checked before d and j
+        Character(9, 5, 9)
+    with pytest.raises(ModulusTooLarge):
+        Character(1048583, 5, 9)
 
 
 def test_multiplicativity_random_triples():
@@ -88,9 +91,8 @@ def test_multiplicativity_random_triples():
     primes = [p for p in primes_up_to(199) if p >= 5]
     for _ in range(10_000):
         p = rng.choice(primes)
-        fld = make_field(p)
         d = rng.choice([d for d in divisors(p - 1) if d >= 1])
-        chi = Character(fld, d, rng.randrange(d))
+        chi = Character(p, d, rng.randrange(d))
         x, y = rng.randint(1, p - 1), rng.randint(1, p - 1)
         rx, ry = char_eval(chi, x), char_eval(chi, y)
         assert char_eval(chi, x * y % p) == (rx + ry) % d
@@ -138,7 +140,7 @@ def test_poly_char_sum_matches_direct_complex_oracle():
         p = rng.choice((7, 13, 31, 61))
         fld = make_field(p)
         d = rng.choice([d for d in divisors(p - 1) if d >= 2])
-        chi = Character(fld, d, rng.randint(1, d - 1))
+        chi = Character(p, d, rng.randint(1, d - 1))
         coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [rng.randint(1, p - 1)]
         expected = 0j
         for x in range(p):
@@ -157,7 +159,7 @@ def test_weil_examples():
     rep = weil_report(leg, [0, 0, 1])  # x^2 is a perfect square
     assert rep.hypothesis_ok is False and rep.ok is None
     # linear polynomial, order-3 character: complete sum over all of F_13 is 0
-    chi3 = Character(make_field(13), 3, 1)
+    chi3 = Character(13, 3, 1)
     rep = weil_report(chi3, [1, 1])
     assert rep.lhs == pytest.approx(0.0, abs=1e-9)
     assert rep.extras["distinct_roots"] == 1
@@ -168,8 +170,7 @@ def test_weil_random_admissible():
     from ffdecomp.experiments import weil_instances
 
     for inst in weil_instances(primes_between(5, 499), 60, 7, deg_max=6):
-        fld = make_field(inst["p"])
-        rep = weil_report(Character(fld, inst["d"], inst["j"]), inst["poly"])
+        rep = weil_report(Character(inst["p"], inst["d"], inst["j"]), inst["poly"])
         assert rep.hypothesis_ok and rep.ok, inst
 
 
@@ -187,7 +188,7 @@ def test_double_char_sum_examples_and_oracle():
         p = rng.choice((7, 13, 31))
         fld = make_field(p)
         d = rng.choice([d for d in divisors(p - 1) if d >= 2])
-        chi = Character(fld, d, rng.randint(1, d - 1))
+        chi = Character(p, d, rng.randint(1, d - 1))
         sa = FpSet(p, rng.getrandbits(p) & ((1 << p) - 1))
         sb = FpSet(p, rng.getrandbits(p) & ((1 << p) - 1))
         expected = 0j
@@ -204,8 +205,8 @@ def test_double_char_sum_examples_and_oracle():
 def pair_loop_tally(chi, a, b):
     """(counts, zeros) of chi(x + y) over A x B, one pair at a time, with
     logs taken from the powers of the field's generator."""
-    p, d, j = chi.field.p, chi.d, chi.j
-    log = {pow(chi.field.g, k, p): k for k in range(p - 1)}
+    p, d, j = chi.p, chi.d, chi.j
+    log = {pow(make_field(p).g, k, p): k for k in range(p - 1)}
     counts, zeros = [0] * d, 0
     for x in a:
         for y in b:
@@ -220,10 +221,9 @@ def pair_loop_tally(chi, a, b):
 def test_double_char_sum_equals_the_pair_loop_for_every_character_to_61():
     rng = random.Random(61)
     for p in primes_between(3, 61):
-        fld = make_field(p)
         for d in divisors(p - 1):
             for j in range(d):
-                chi = Character(fld, d, j)
+                chi = Character(p, d, j)
                 a = FpSet(p, rng.getrandbits(p))
                 b = FpSet(p, rng.getrandbits(p))
                 tally = double_char_sum(chi, a, b)
@@ -232,11 +232,10 @@ def test_double_char_sum_equals_the_pair_loop_for_every_character_to_61():
 
 @pytest.mark.parametrize("p", [3, 5, 13, 61])
 def test_double_char_sum_edge_sets_equal_the_pair_loop(p):
-    fld = make_field(p)
     full, zero = FpSet(p, (1 << p) - 1), FpSet.from_elements(p, [0])
     rng = random.Random(p)
     for d in divisors(p - 1):
-        chi = Character(fld, d, rng.randrange(d))
+        chi = Character(p, d, rng.randrange(d))
         some = FpSet.from_elements(p, rng.sample(range(p), rng.randint(1, p)))
         for a, b in ((full, some), (some, full), (full, full), (zero, zero), (zero, full)):
             tally = double_char_sum(chi, a, b)
@@ -300,10 +299,9 @@ _OPTIMIZED_CHECKS_SCRIPT = r"""
 import json, sys
 from ffdecomp import charsum, decomp, setalg
 from ffdecomp.decomp import DecompQuery, run_query
-from ffdecomp.fpcore import make_field
 from ffdecomp.setalg import FpSet
 
-chi = charsum.Character(make_field(7), 2, 1)
+chi = charsum.Character(7, 2, 1)
 a = FpSet.from_elements(7, [1, 2])
 s = FpSet.from_elements(7, [1, 2, 4, 5])  # {1, 4} + {0, 1}
 a2 = FpSet.from_elements(7, [2, 3, 4])  # {1, 2} + {1, 2}

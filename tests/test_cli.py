@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import resource
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import primes_between
 from ffdecomp import cli
 from ffdecomp.cli import (
     EXIT_BUDGET,
@@ -28,6 +30,7 @@ from ffdecomp.cli import (
     run,
 )
 from ffdecomp.errors import FFDecompError
+from ffdecomp.fpcore import make_field
 from ffdecomp.setalg import FpSet, format_set
 
 
@@ -181,6 +184,10 @@ def test_parse_target_families():
     assert s == FpSet.from_elements(13, [1, 5, 8, 12])
     s, meta = parse_target("primroots", 7)
     assert s == FpSet.from_elements(7, [3, 5])  # generators of F_7^*
+    for p in (*primes_between(3, 999), 10037):  # the walk against the exp table
+        exp = make_field(p).exp
+        want = {exp[k] for k in range(p - 1) if math.gcd(k, p - 1) == 1}
+        assert set(parse_target("primroots", p)[0]) == want, p
     s, meta = parse_target("interval:2,3", 7)
     assert s == FpSet.from_elements(7, [3, 4, 5])
     s, meta = parse_target("7:{1,2}", 7)
@@ -366,8 +373,8 @@ def test_sweep_seed_comes_from_the_flag_else_the_config(tmp_path, capsys):
     assert rec["seed"] == 0
 
 
-# a command that loads the field table of 10037 (growth reads none)
-SHKVYU_10037 = ["--prime", "10037", "--d", "2", "--shifts", "1,2"]
+# a command that loads the field table of 10037 (its character sum reads dlog)
+VINOGRADOV_10037 = ["--prime", "10037", "--d", "2", "--set", "10037:{1,2}", "--set", "10037:{5}"]
 
 
 def test_cache_dir_flag(tmp_path, capsys, monkeypatch):
@@ -381,14 +388,21 @@ def test_cache_dir_flag(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     assert (tmp_path / "field_10037.bin").exists() is False  # no field needed for literals
     fpcore._FIELD_CACHE.pop(10037, None)
-    code = run(["growth", "--prime", "10037", "--d", "2", "--cache-dir", str(tmp_path)])
-    capsys.readouterr()
-    assert code == EXIT_OK
-    assert list(tmp_path.iterdir()) == []  # growth reads no field table
-    code = run(["shkvyu", *SHKVYU_10037, "--cache-dir", str(tmp_path)])
+    for argv, want in ((["growth", "--prime", "10037", "--d", "2"], EXIT_OK),
+                       (["shkvyu", "--prime", "10037", "--d", "2", "--shifts", "1,2"], EXIT_OK),
+                       (["search", "--set", "qr", "--prime", "10037", "--node-budget", "50"],
+                        EXIT_BUDGET)):
+        code = run([*argv, "--cache-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert code == want, argv
+        assert list(tmp_path.iterdir()) == [], argv  # none of them reads a field table
+    code = run(["vinogradov", *VINOGRADOV_10037, "--cache-dir", str(tmp_path)])
     capsys.readouterr()
     assert code == EXIT_OK
     assert (tmp_path / "field_10037.bin").exists()
+
+
+TOO_LARGE_92683 = "p = 92683: a search table of p**2/8 bytes exceeds the 1 GiB cap (p <= 92681)"
 
 
 @pytest.mark.parametrize(
@@ -399,8 +413,18 @@ def test_cache_dir_flag(tmp_path, capsys, monkeypatch):
         (["interval", "--prime", "100003", "--set", "interval:0,5", "--set", "7:{1}",
           "--set", "100003:{2}"],
          "set literal modulus 7 disagrees with --prime 100003"),
+        (["search", "--prime", "92683", "--set", "qr"], TOO_LARGE_92683),
+        (["packing", "--prime", "92683", "--d", "2"], TOO_LARGE_92683),
+        (["search", "--prime", "92683", "--set", "primroots"], TOO_LARGE_92683),
+        (["karatsuba", "--prime", "100003", "--d", "5"],
+         "character order context d = 5 must divide p-1 = 100002"),
+        (["weil", "--prime", "100003", "--d", "5", "--poly", "1,2"],
+         "character order context d = 5 must divide p-1 = 100002"),
+        (["vinogradov", "--prime", "100003", "--d", "2", "--j", "2"],
+         "character index j = 2 out of range [0, 2)"),
     ],
-    ids=["shkvyu-bad-d", "interval-bad-set"],
+    ids=["shkvyu-bad-d", "interval-bad-set", "search-qr-too-large", "packing-too-large",
+         "search-primroots-too-large", "karatsuba-bad-d", "weil-bad-d", "vinogradov-bad-j"],
 )
 def test_refused_commands_write_no_cache_file(argv, message, tmp_path, capsys):
     # Each input is checked before the field of p is loaded or built.
@@ -421,14 +445,15 @@ def test_cache_dir_flag_holds_for_one_run_only(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FFDECOMP_CACHE_DIR", str(env_dir))
     for p in (10037, 10039):
         fpcore._FIELD_CACHE.pop(p, None)
-    assert run(["shkvyu", *SHKVYU_10037, "--cache-dir", str(flag_dir)]) == EXIT_OK
+    assert run(["vinogradov", *VINOGRADOV_10037, "--cache-dir", str(flag_dir)]) == EXIT_OK
     assert os.environ["FFDECOMP_CACHE_DIR"] == str(env_dir)
-    assert run(["shkvyu", "--prime", "10039", "--d", "2", "--shifts", "1,2"]) == EXIT_OK
+    assert run(["vinogradov", "--prime", "10039", "--d", "2", "--set", "10039:{1,2}",
+                "--set", "10039:{5}"]) == EXIT_OK
     assert sorted(f.name for f in flag_dir.iterdir()) == ["field_10037.bin"]
     assert sorted(f.name for f in env_dir.iterdir()) == ["field_10039.bin"]
     # a variable that was unset is unset again afterwards
     monkeypatch.delenv("FFDECOMP_CACHE_DIR")
-    assert run(["shkvyu", *SHKVYU_10037, "--cache-dir", str(flag_dir)]) == EXIT_OK
+    assert run(["vinogradov", *VINOGRADOV_10037, "--cache-dir", str(flag_dir)]) == EXIT_OK
     assert "FFDECOMP_CACHE_DIR" not in os.environ
     capsys.readouterr()
     for p in (10037, 10039):
@@ -528,8 +553,8 @@ def _probe(commands, cache_dir):
 def test_numpy_is_imported_only_where_it_computes(tmp_path):
     """Run the CLI in fresh processes whose fields are all in the disk cache:
     importing it loads neither numpy nor the process pool, the searches,
-    packing, shkvyu and growth run without numpy, and the three float-vector
-    reports import it and keep their recorded bytes."""
+    packing, shkvyu, vinogradov and growth run without numpy, and the three
+    float-vector reports import it and keep their recorded bytes."""
     def sweep(name):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps({"experiment": name, **SWEEP_CONFIGS[name]}))
@@ -539,7 +564,9 @@ def test_numpy_is_imported_only_where_it_computes(tmp_path):
         ("search", ["search", "--set", "qr", "--prime", "151", "--stable"]),
         ("packing", ["packing", "--prime", "101", "--d", "4", "--stable"]),
         ("shkvyu", sweep("shkvyu")),
-        ("shkvyu_10037", ["shkvyu", *SHKVYU_10037, "--stable"]),
+        ("vinogradov_151", ["vinogradov", "--prime", "151", "--d", "2", "--set", "151:{1,2}",
+                            "--set", "151:{5}", "--stable"]),
+        ("vinogradov_10037", ["vinogradov", *VINOGRADOV_10037, "--stable"]),
         ("growth", ["growth", "--prime", "10037", "--d", "2", "--stable"]),
         *[(name, sweep(name)) for name in ("wsum", "nsum", "interval")],
     ]
@@ -549,7 +576,7 @@ def test_numpy_is_imported_only_where_it_computes(tmp_path):
     assert {"field_101.bin", "field_151.bin", "field_10037.bin"} <= built
     cached = _probe(commands, tmp_path / "cache")
     assert cached["import"] == []
-    for name in ("search", "packing", "shkvyu", "shkvyu_10037", "growth"):
+    for name in ("search", "packing", "shkvyu", "vinogradov_151", "vinogradov_10037", "growth"):
         assert cached[name][:2] == [EXIT_OK, []], name
     for name in ("wsum", "nsum", "interval"):
         assert cached[name] == [EXIT_OK, ["numpy"], SWEEP_DIGESTS[name][0]], name

@@ -24,8 +24,8 @@ from ffdecomp.decomp import (
     run_query,
 )
 from ffdecomp.errors import ModulusTooLarge
-from ffdecomp.fpcore import divisors, make_field, primes_up_to, smallest_primitive_root, subgroup
-from ffdecomp.setalg import FpSet, bits_from
+from ffdecomp.fpcore import divisors, primes_up_to, subgroup
+from ffdecomp.setalg import FpSet
 
 
 def fpset(p, *elems):
@@ -33,7 +33,7 @@ def fpset(p, *elems):
 
 
 def qr(p):
-    return subgroup(make_field(p), 2)
+    return subgroup(p, 2)
 
 
 def test_decomposition_examples():
@@ -150,7 +150,7 @@ def test_subgroup_is_detected_exactly():
         if p < 3:
             continue
         for d in divisors(p - 1):
-            query = DecompQuery(S=subgroup(make_field(p), d), mode="decomposition")
+            query = DecompQuery(S=subgroup(p, d), mode="decomposition")
             assert query.subgroup_d == d, (p, d)
     # Every nonempty subset for p <= 13, sets holding 0 included, against an
     # independent oracle: a nonempty finite set is a subgroup of F_p^*
@@ -214,7 +214,7 @@ def test_engine_matches_bruteforce_on_subgroups():
         for d in divisors(p - 1):
             if d < 2:
                 continue
-            s = subgroup(make_field(p), d)
+            s = subgroup(p, d)
             exists = oracle_decomposition_exists(s)
             assert oracle_decomposition_exists_normalized(s) == exists, (p, d)
             r = run_query(DecompQuery(S=s, mode="decomposition"))
@@ -311,7 +311,7 @@ def test_worker_partitioning_is_deterministic():
     for fields in (
         dict(S=qr(13), mode="decomposition"),
         dict(S=qr(13), mode="self_decomposition"),
-        dict(S=subgroup(make_field(13), 3), mode="decomposition"),
+        dict(S=subgroup(13, 3), mode="decomposition"),
         dict(S=fpset(13, 1, 2, 4, 5, 8), mode="decomposition"),
         dict(S=qr(17), mode="packing", min_size=1),
     ):
@@ -419,7 +419,7 @@ def _self_grid(name):
     if name == "subgroups":  # every G_d with 5 <= p < 200
         for p in primes_between(5, 199):
             for d in divisors(p - 1):
-                yield subgroup(make_field(p), d), 1
+                yield subgroup(p, d), 1
     elif name == "random":
         rng = random.Random(1)
         for _ in range(600):
@@ -493,15 +493,10 @@ def test_searches_that_skip_the_table_are_not_refused():
 
 
 def test_oversized_search_is_refused_before_any_setup(monkeypatch):
-    # The d = 5 subgroup of p = 1048571, built without a field table; the
+    # The d = 5 subgroup of p = 1048571 (subgroup reads no field table); the
     # refusal must come before the field and the p - 1 candidates are made.
     p, d = 1_048_571, 5
-    h = pow(smallest_primitive_root(p), d, p)
-    elems, x = [], 1
-    for _ in range((p - 1) // d):
-        elems.append(x)
-        x = x * h % p
-    s = FpSet(p, bits_from(elems, p))
+    s = subgroup(p, d)
 
     def no_setup(*args, **kwargs):
         raise AssertionError("setup ran before the table-size refusal")

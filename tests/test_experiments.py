@@ -61,12 +61,11 @@ def test_w_identity_direct_count_oracle():
     rng = random.Random(17)
     for _ in range(40):
         p = rng.choice((7, 13, 31))
-        fld = make_field(p)
         from ffdecomp.fpcore import divisors
 
         d = rng.choice([d for d in divisors(p - 1) if d >= 2])
         b = fpset(p, *rng.sample(range(p), rng.randint(1, 4)))
-        g = set(subgroup(fld, d))
+        g = set(subgroup(p, d))
         expect = d * sum(
             1 for u in g if all((u - x) % p not in g for x in b)
         )
@@ -87,7 +86,7 @@ def test_w_identity_formula_needs_collision_free_b():
 
 def test_wsum_instances_are_collision_free():
     for inst in wsum_instances(primes_between(5, 199), 30, 5, b_max=6):
-        g = subgroup(make_field(inst["p"]), inst["d"])
+        g = subgroup(inst["p"], inst["d"])
         assert inst["B"].bits & g.bits == 0
 
 
@@ -106,7 +105,7 @@ def test_n_count_examples():
 
         d = rng.choice([d for d in divisors(p - 1) if d >= 2])
         b = fpset(p, *rng.sample(range(p), rng.randint(1, 4)))
-        g = set(subgroup(make_field(p), d))
+        g = set(subgroup(p, d))
         expect = sum(1 for u in g if all((u - x) % p in g for x in b))
         rep = n_count_report(p, d, b)
         assert rep.extras["N"] == expect and rep.ok
@@ -172,11 +171,10 @@ def test_growth_examples():
 
 
 def _growth_against_productset(p, d):
-    fld = make_field(p)
-    g = subgroup(fld, d)
+    g = subgroup(p, d)
     shifted = g.translate(1)
     extras = growth_exponent_report(p, d).extras
-    grown = len(productset(g, shifted, fld))
+    grown = len(productset(g, shifted))
     assert (extras["grown_size"], extras["zero_in_shift"]) == (grown, 0 in shifted), (p, d)
     assert extras["e"] == math.log(grown) / math.log(len(g)), (p, d)
     return extras["zero_in_shift"]

@@ -95,41 +95,60 @@ def test_dlog_roundtrip_and_bijection():
 
 
 def test_subgroup_examples():
-    fld7 = make_field(7)
-    assert subgroup(fld7, 2).elements() == [1, 2, 4]
-    assert subgroup(fld7, 1).elements() == [1, 2, 3, 4, 5, 6]
-    fld13 = make_field(13)
-    assert subgroup(fld13, 3).elements() == [1, 5, 8, 12]
+    assert subgroup(7, 2).elements() == [1, 2, 4]
+    assert subgroup(7, 1).elements() == [1, 2, 3, 4, 5, 6]
+    assert subgroup(13, 3).elements() == [1, 5, 8, 12]
     with pytest.raises(BadIndex):
-        subgroup(fld7, 4)
+        subgroup(7, 4)
+    with pytest.raises(CompositeModulus):  # the modulus is checked before d
+        subgroup(9, 5)
+    with pytest.raises(ModulusTooLarge):
+        subgroup(1 << 20, 2)
 
 
 def test_subgroup_against_power_oracle():
     for p in (7, 13, 31, 61):
-        fld = make_field(p)
         for d in divisors(p - 1):
             expected = sorted({pow(x, d, p) for x in range(1, p)})
-            assert subgroup(fld, d).elements() == expected
+            assert subgroup(p, d).elements() == expected
 
 
-def test_subgroup_structure_all_p_to_499():
+def test_subgroup_structure_and_dlog_membership():
+    """For every d | p - 1 of every prime p < 1000 and of 10037, the walked
+    G_d is the set of x with d | dlog(x), of order (p - 1)/d and closed
+    under multiplication."""
     import random
 
     rng = random.Random(7)
-    for p in primes_up_to(499):
-        if p < 3:
-            continue
-        fld = make_field(p)
+    for p in (*primes_up_to(999)[1:], 10037):
+        dlog = make_field(p).dlog
         for d in divisors(p - 1):
-            sub = subgroup(fld, d)
+            sub = subgroup(p, d)
             elems = sub.elements()
+            assert elems == [x for x in range(1, p) if dlog[x] % d == 0], (p, d)
             assert len(elems) == (p - 1) // d
             assert 1 in sub
-            for x in range(1, p):
-                assert (x in sub) == (fld.dlog[x] % d == 0)
             for _ in range(10):
                 a, b = rng.choice(elems), rng.choice(elems)
                 assert a * b % p in sub
+    fpcore._FIELD_CACHE.pop(10037, None)
+
+
+def test_subgroup_and_primroots_read_no_field_table(monkeypatch):
+    from ffdecomp.cli import parse_target
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("asked for a field")
+
+    monkeypatch.setattr(fpcore, "make_field", refuse)
+    monkeypatch.setattr(fpcore, "_read_cache", refuse)
+    monkeypatch.setattr(fpcore, "_build_field", refuse)
+    for key in ((1048573, 7182), (10039, 2), (10039, 6)):
+        fpcore._SUBGROUPS.pop(key, None)
+    assert len(subgroup(1048573, 7182)) == 1048572 // 7182
+    for target, size in (("qr", 5019), ("subgroup:6", 1673), ("primroots", 2856)):
+        assert len(parse_target(target, 10039)[0]) == size, target
+    fpcore._SUBGROUPS.pop((1048573, 7182), None)
 
 
 def test_disk_cache_layout_and_invalidation(tmp_path):
@@ -205,7 +224,7 @@ def test_cache_whose_table_is_no_permutation_is_rebuilt(tmp_path):
     fpcore._FIELD_CACHE.pop(p, None)
     dlog, exp = _power_walk(p, fld.g)
     assert (list(fld.dlog), list(fld.exp)) == (dlog, exp)
-    assert subgroup(fld, 2).elements() == sorted({x * x % p for x in range(1, p)})
+    assert subgroup(p, 2).elements() == sorted({x * x % p for x in range(1, p)})
     assert path.read_bytes() == good  # rebuilt and written again
 
 
@@ -283,26 +302,27 @@ def test_cache_load_holds_nothing_but_the_tables(tmp_path):
     assert tables <= kept <= peak <= tables + (16 << 10), (kept, peak, tables)
 
 
-def test_subgroup_of_large_field_against_powers(tmp_path):
+def test_subgroup_of_large_field_against_powers():
     p, d = 1048573, 7182
-    fld = make_field(p, cache_dir=tmp_path)
-    assert set(subgroup(fld, d)) == {pow(x, d, p) for x in range(1, p)}
-    fpcore._FIELD_CACHE.pop(p, None)
+    assert set(subgroup(p, d)) == {pow(x, d, p) for x in range(1, p)}
+    fpcore._SUBGROUPS.pop((p, d), None)
 
 
 def test_field_and_subgroup_memo():
     fld = make_field(13)
     assert make_field(13) is fld
-    assert subgroup(fld, 3) is subgroup(fld, 3)
-    assert subgroup(fld, 3) is not subgroup(fld, 4)
+    assert subgroup(13, 3) is subgroup(13, 3)
+    assert subgroup(13, 3) is not subgroup(13, 4)
     for _ in range(2):  # a bad index is rejected on every call, never remembered
         with pytest.raises(BadIndex):
-            subgroup(fld, 5)
+            subgroup(13, 5)
         with pytest.raises(BadIndex):
-            subgroup(fld, 0)
-    subgroup(fld, 2)
+            subgroup(13, 0)
+    subgroup(13, 2)
     with pytest.raises(TypeError):
-        subgroup(fld, 2.0)
+        subgroup(13, 2.0)
+    with pytest.raises(TypeError):  # a float modulus is refused after the memo too
+        subgroup(13.0, 2)
 
 
 def test_make_field_rejects_float_after_memo():

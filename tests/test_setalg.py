@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import naive_affine, naive_productset, naive_sumset, nonzero_set
 from ffdecomp.errors import DuplicateShift, MixedModulus
-from ffdecomp.fpcore import make_field, primes_up_to
+from ffdecomp.fpcore import primes_up_to
 from ffdecomp.setalg import (
     FpSet,
     affine,
@@ -33,11 +33,10 @@ def test_sumset_examples():
 
 
 def test_productset_examples():
-    f7 = make_field(7)
-    assert productset(fpset(7, 1, 6), fpset(7, 1, 2, 3), f7) == fpset(7, 1, 2, 3, 4, 5, 6)
-    assert productset(fpset(7, 0), fpset(7, 1, 2), f7) == fpset(7, 0)
+    assert productset(fpset(7, 1, 6), fpset(7, 1, 2, 3)) == fpset(7, 1, 2, 3, 4, 5, 6)
+    assert productset(fpset(7, 0), fpset(7, 1, 2)) == fpset(7, 0)
     full = fpset(7, 2, 3, 5)
-    assert productset(fpset(7, 1), full, f7) == full
+    assert productset(fpset(7, 1), full) == full
 
 
 def test_affine_examples():
@@ -88,7 +87,7 @@ def test_growth_product_examples():
     assert growth_product(fpset(7, 1), 1) == fpset(7, 2)
     # b = 0 degenerates to plain A*A
     a = fpset(7, 1, 2, 4)
-    assert growth_product(a, 0) == productset(a, a, make_field(7))
+    assert growth_product(a, 0) == productset(a, a)
 
 
 def test_growth_product_conjugation_identity_explicit():
@@ -100,11 +99,10 @@ def test_growth_product_conjugation_identity_explicit():
         p = rng.choice(PRIMES)
         a = FpSet(p, rng.getrandbits(p) & ((1 << p) - 1))
         b = rng.randint(1, p - 1)
-        fld = make_field(p)
-        direct = productset(a, affine(a, 1, b), fld)
+        direct = productset(a, affine(a, 1, b))
         binv = pow(b, -1, p)
         scaled = affine(a, binv, 0)
-        conjugated = affine(productset(scaled, affine(scaled, 1, 1), fld), b * b % p, 0)
+        conjugated = affine(productset(scaled, affine(scaled, 1, 1)), b * b % p, 0)
         assert direct == conjugated
         assert growth_product(a, b) == direct
 
@@ -113,9 +111,7 @@ def test_mixed_modulus_rejected():
     with pytest.raises(MixedModulus):
         sumset(fpset(7, 1), fpset(11, 1))
     with pytest.raises(MixedModulus):
-        productset(fpset(7, 1), fpset(11, 1), make_field(7))
-    with pytest.raises(MixedModulus):  # a field of another modulus
-        productset(fpset(7, 1), fpset(7, 2), make_field(11))
+        productset(fpset(7, 1), fpset(11, 1))
 
 
 def test_set_basics():
@@ -136,10 +132,9 @@ def test_sumset_productset_match_naive_oracle(data):
     a = FpSet(p, data.draw(st.integers(0, mask)))
     b = FpSet(p, data.draw(st.integers(0, mask)))
     assert set(sumset(a, b)) == naive_sumset(a, b)
-    fld = make_field(p)
-    assert set(productset(a, b, fld)) == naive_productset(a, b)
+    assert set(productset(a, b)) == naive_productset(a, b)
     assert sumset(a, b) == sumset(b, a)
-    assert productset(a, b, fld) == productset(b, a, fld)
+    assert productset(a, b) == productset(b, a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,10 +156,9 @@ def test_productset_dlog_path_matches_schoolbook():
     rng = random.Random(5)
     for _ in range(80):
         p = rng.choice(PRIMES)
-        fld = make_field(p)
         a = FpSet(p, rng.getrandbits(p) & ((1 << p) - 1))
         b = FpSet(p, rng.getrandbits(p) & ((1 << p) - 1))
-        assert set(productset(a, b, fld)) == naive_productset(a, b)
+        assert set(productset(a, b)) == naive_productset(a, b)
 
 
 def test_cardinality_bounds():
@@ -248,13 +242,12 @@ def test_productset_dlog_path_matches_schoolbook_for_every_small_prime():
     for p in primes_up_to(61):
         if p < 3:
             continue
-        fld = make_field(p)
         mask = (1 << p) - 1
         for density in (0.05, 0.3, 0.7, 1.0):
             for _ in range(6):
                 a = FpSet(p, sum(1 << x for x in range(p) if rng.random() < density))
                 b = FpSet(p, rng.getrandbits(p) & mask)
-                assert set(productset(a, b, fld)) == naive_productset(a, b), (p, a, b)
+                assert set(productset(a, b)) == naive_productset(a, b), (p, a, b)
 
 
 def test_growth_product_matches_schoolbook_for_every_small_prime_and_shift():
