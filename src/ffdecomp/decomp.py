@@ -5,7 +5,13 @@ B, built in ascending element order) and maintain the maximal companion
 A_max(B) = intersection of S - b over b in B as a raw bit-vector.  Subtrees
 die when the companion drops below the required size, when no extension can
 reach the target product, or when the sorted sizes of the candidate
-intersections cap every reachable product below the requirement.  Self mode
+intersections cap every reachable product below the requirement.  Before
+sizing its candidates a node may run the miss count, a necessary condition
+for that last test: it counts, over bit-sliced levels, the candidates c with
+at most k elements a of A such that a + c is outside S, and dies when fewer
+remain than the sorted sizes would need.  The count is exact integer
+arithmetic, runs after the node is charged and cuts only nodes the sorted
+sizes would cut, so it changes no tree, node count or result.  Self mode
 builds A itself in ascending order; a node's candidates are the c above
 max(A) with c + A and c + c inside S, and a subtree dies when A and its
 candidates together, m elements, have m(m + 1)/2 < #S pairwise sums.
@@ -162,6 +168,7 @@ class _Ctx:
         "nodes",
         "budget_hit",
         "witnesses",
+        "plans",
     )
 
     def __init__(self, query):
@@ -193,6 +200,7 @@ class _Ctx:
         self.nodes = 0 if query.mode == MODE_SELF else 1
         self.budget_hit = False
         self.witnesses = []
+        self.plans = {}  # miss_plan's answers, by (nb, #A, j_max, floor)
 
     def tick(self, n=1):
         """Charge n examined candidates; stop exactly on the node budget, and
@@ -220,6 +228,33 @@ class _Ctx:
         if len(self.witnesses) >= self.max_wit:
             raise _Done
 
+    def miss_plan(self, nb, a_size, n):
+        """(j_lo, k) for a node with #B = nb, #A = a_size and n candidates,
+        or None when no extension can pass the sorted-size test.
+
+        The test passes iff some j >= max(1, min_size - nb) has a j-th
+        largest candidate size t_(j) >= v_j = max(nb + j, floor // (nb + j) + 1);
+        as t <= #A, only j <= j_max = min(n, #A - nb) with v_j <= #A can.
+        j_lo is the least such j and #A - k the least such v_j: a pass needs
+        j_lo candidates that each miss at most k elements of A.
+        """
+        floor = self.floor
+        j_max = min(n, a_size - nb)
+        key = (nb, a_size, j_max, floor)
+        if key in self.plans:
+            return self.plans[key]
+        j_lo = v_min = None
+        for j in range(max(1, self.min_size - nb), j_max + 1):
+            size_b = nb + j
+            v = max(size_b, floor // size_b + 1)
+            if v <= a_size:
+                if j_lo is None:
+                    j_lo, v_min = j, v
+                v_min = min(v_min, v)
+        plan = None if j_lo is None else (j_lo, a_size - v_min)
+        self.plans[key] = plan
+        return plan
+
 
 def _naive_sum_bits(a_elems, b_elems, p):
     out = 0
@@ -240,9 +275,30 @@ def _emit_pair(ctx, a_bits, b_list):
     ctx.accept(FpSet(ctx.p, a_bits), FpSet.from_elements(ctx.p, b_list))
 
 
-def _dfs(ctx, b_list, a_bits, a_size, cands, start):
+def _too_few_fit(trans, a_bits, tail_bits, j_lo, k):
+    """True when fewer than j_lo candidates c of tail_bits miss at most k
+    elements a of A, a miss being a + c outside S (c not in trans[a]).
+
+    levels[i] holds the candidates with at most i misses among the rows read
+    so far; the levels only shrink, so the count stops as soon as levels[k]
+    holds fewer than j_lo."""
+    levels = [tail_bits] * (k + 1)
+    while a_bits:
+        low = a_bits & -a_bits
+        a_bits ^= low
+        row = trans[low.bit_length() - 1]
+        for i in range(k, 0, -1):
+            levels[i] = (levels[i] & row) | levels[i - 1]
+        levels[0] &= row
+        if levels[k].bit_count() < j_lo:
+            return True
+    return False
+
+
+def _dfs(ctx, b_list, a_bits, a_size, cands, start, tail_bits):
     """Extend B (#B <= #A: the root has #B = 2, a child #A >= need) by the
-    candidates cands[start:], which share the parent's list."""
+    candidates cands[start:], which share the parent's list; tail_bits is
+    the same candidates as a bit-vector."""
     nb = len(b_list)
     ms = ctx.min_size
     if nb >= ms and a_size >= ms and a_size * nb > ctx.floor:
@@ -263,7 +319,16 @@ def _dfs(ctx, b_list, a_bits, a_size, cands, start):
     # Every candidate is examined below and the loop has no other effect,
     # so charging them in one go stops the budget on the same count.
     ctx.tick(n)
+    plan = ctx.miss_plan(nb, a_size, n)
+    if plan is None:
+        return
     trans = ctx.trans
+    # The sorted-size test below needs j_lo candidates that miss at most k
+    # elements of A.  Counting them costs about 2k + 2 operations per element
+    # of A, the loop below 3 per candidate: count first only when cheaper.
+    j_lo, k = plan
+    if a_size * (2 * k + 2) < 3 * n and _too_few_fit(trans, a_bits, tail_bits, j_lo, k):
+        return
     need = max(ms, nb + 1)
     kept = []
     kept_bits = []
@@ -293,11 +358,13 @@ def _dfs(ctx, b_list, a_bits, a_size, cands, start):
     # = nb + 1, so failing the test also rules out its emit.  ctx.floor is
     # read on every pass, since packing raises it inside this loop.
     last = len(kept) + nb
+    tail = bits_from(kept, ctx.p)
     for i, c in enumerate(kept):
+        tail ^= 1 << c  # the child's candidates: kept[i + 1:]
         t = sizes[i]
         child_bound = min(last - i, t)
         if child_bound >= ms and t * child_bound > ctx.floor:
-            _dfs(ctx, b_list + [c], kept_bits[i], t, kept, i + 1)
+            _dfs(ctx, b_list + [c], kept_bits[i], t, kept, i + 1, tail)
 
 
 def _dfs_self(ctx, a_bits, sum_bits, cands):
@@ -334,7 +401,8 @@ def _search(ctx, i):
     a_bits = ctx.s_bits & ctx.trans[first]
     t = a_bits.bit_count()
     if t >= max(ctx.min_size, 2):
-        _dfs(ctx, [0, first], a_bits, t, ctx.domain, i + 1)
+        above = (1 << ctx.p) - (2 << first)  # domain[i + 1:] = first + 1 .. p - 1
+        _dfs(ctx, [0, first], a_bits, t, ctx.domain, i + 1, above)
 
 
 def _run(query: DecompQuery, mode: str) -> DecompReport:

@@ -15,6 +15,7 @@ from itertools import combinations
 import pytest
 
 from ffdecomp.charsum import RootOfUnityTally
+from ffdecomp.decomp import _emit_pair
 from ffdecomp.fpcore import primes_up_to, subgroup
 from ffdecomp.setalg import FpSet, bits_from, cyclic_shift
 
@@ -219,6 +220,71 @@ def reference_self_search(s: FpSet, max_witnesses: int = 1):
         if first in firsts and dfs(1 << first, 1 << (2 * first % p), domain[i + 1:]):
             break
     return ("found" if witnesses else "exhausted_none"), witnesses
+
+
+def reference_dfs(ctx, b_list, a_bits, a_size, cands, start):
+    """The decomposition and packing kernel as it was before the miss-count
+    test, kept verbatim: every node sizes all its candidates and then runs
+    the sorted-size test.  A search runs on it when decomp._dfs is swapped
+    for it (its root call passes tail_bits, which this kernel drops).
+
+    Extend B (#B <= #A: the root has #B = 2, a child #A >= need) by the
+    candidates cands[start:], which share the parent's list."""
+    nb = len(b_list)
+    ms = ctx.min_size
+    if nb >= ms and a_size >= ms and a_size * nb > ctx.floor:
+        if ctx.packing:
+            _emit_pair(ctx, a_bits, b_list)
+        else:
+            acc = 0
+            for b in b_list:
+                acc |= cyclic_shift(a_bits, b, ctx.p)
+            if acc == ctx.s_bits:
+                _emit_pair(ctx, a_bits, b_list)
+    n = len(cands) - start
+    if n <= 0:
+        return
+    bound_b = min(nb + n, a_size)
+    if bound_b < ms or a_size * bound_b <= ctx.floor:
+        return
+    # Every candidate is examined below and the loop has no other effect,
+    # so charging them in one go stops the budget on the same count.
+    ctx.tick(n)
+    trans = ctx.trans
+    need = max(ms, nb + 1)
+    kept = []
+    kept_bits = []
+    sizes = []
+    for c in cands[start:]:
+        child = a_bits & trans[c]
+        t = child.bit_count()
+        if t >= need:
+            kept.append(c)
+            kept_bits.append(child)
+            sizes.append(t)
+    if not kept:
+        return
+    sizes_desc = sorted(sizes, reverse=True)
+    feasible = False
+    for j, tj in enumerate(sizes_desc, start=1):
+        size_b = nb + j
+        if size_b > tj:
+            break
+        if size_b >= ms and tj * size_b > ctx.floor:
+            feasible = True
+            break
+    if not feasible:
+        return
+    # The child's own bound_b test, run here so that a child which could
+    # neither emit nor extend costs no call: its bound_b is at least its #B
+    # = nb + 1, so failing the test also rules out its emit.  ctx.floor is
+    # read on every pass, since packing raises it inside this loop.
+    last = len(kept) + nb
+    for i, c in enumerate(kept):
+        t = sizes[i]
+        child_bound = min(last - i, t)
+        if child_bound >= ms and t * child_bound > ctx.floor:
+            reference_dfs(ctx, b_list + [c], kept_bits[i], t, kept, i + 1)
 
 
 def oracle_max_packing(s: FpSet) -> int:

@@ -13,6 +13,7 @@ from conftest import (
     oracle_max_packing,
     oracle_self_exists,
     primes_between,
+    reference_dfs,
     reference_self_search,
 )
 from ffdecomp import decomp, fpcore
@@ -25,7 +26,7 @@ from ffdecomp.decomp import (
 )
 from ffdecomp.errors import ModulusTooLarge
 from ffdecomp.fpcore import divisors, primes_up_to, subgroup
-from ffdecomp.setalg import FpSet
+from ffdecomp.setalg import FpSet, cyclic_shift
 
 
 def fpset(p, *elems):
@@ -412,6 +413,103 @@ def test_qr_151_certificate_node_count():
     r = run_query(DecompQuery(S=qr(151), mode="decomposition"))
     assert r.status == "exhausted_none" and not r.witnesses
     assert r.nodes_explored == 650_035
+
+
+def test_packing_node_counts():
+    # Packing's tree as the packing experiment searches it (min_size 1),
+    # pinned at perfbench's recorded counts (expected.json): a kernel change
+    # that cuts more or less of it, or raises the floor at another time,
+    # moves them.
+    for p, d, nodes in ((127, 2, 289_611), (157, 2, 856_684), (157, 4, 617), (113, 8, 118)):
+        r = run_query(DecompQuery(S=subgroup(p, d), mode="packing", min_size=1))
+        assert (r.status, r.nodes_explored) == ("found", nodes), (p, d)
+
+
+def _kernel_grid(name):
+    """(query fields) for each search of one reference-kernel grid."""
+    if name == "subgroups":  # every G_d with 5 <= p < 200, a QR tree cut by the budget
+        for p in primes_between(5, 199):
+            for d in divisors(p - 1):
+                for mode in ("decomposition", "packing"):
+                    yield dict(S=subgroup(p, d), mode=mode, node_budget=5_000)
+    else:
+        rng = random.Random(3)
+        for _ in range(300):
+            p = rng.choice(primes_between(5, 61))
+            yield dict(
+                S=FpSet(p, rng.getrandbits(p) or 1),
+                mode=rng.choice(("decomposition", "packing")),
+                min_size=rng.randint(1, 3),
+                max_witnesses=rng.randint(1, 3),
+                node_budget=5_000,
+            )
+
+
+@pytest.mark.parametrize("grid", ["subgroups", "random"])
+def test_kernel_matches_the_reference_kernel(grid, monkeypatch):
+    # The reference sizes every candidate of every node; the kernel first
+    # counts the candidates with few enough misses and skips the sizing when
+    # too few fit.  That test only rejects nodes the sorted-size test would
+    # reject, after the node is charged, so the two search the same tree:
+    # statuses, witnesses, products and node counts agree, budget stops too.
+    ours = [(fields, run_query(DecompQuery(**fields))) for fields in _kernel_grid(grid)]
+
+    def root(ctx, b_list, a_bits, a_size, cands, start, tail_bits):
+        reference_dfs(ctx, b_list, a_bits, a_size, cands, start)
+
+    monkeypatch.setattr(decomp, "_dfs", root)  # _search's call; the reference recurses into itself
+    stops = 0
+    for fields, r in ours:
+        ref = run_query(DecompQuery(**fields))
+        got = (r.status, r.witnesses, r.extras, r.nodes_explored)
+        assert got == (ref.status, ref.witnesses, ref.extras, ref.nodes_explored), fields
+        stops += r.status == "budget_exceeded"
+    assert stops > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_miss_count_never_rejects_what_the_sorted_test_accepts(data):
+    # The miss-count test alone, against the sorted-size test it guards, on
+    # any A, tail of candidates, #B, min_size and floor: whenever some j
+    # candidates are large enough for a B of nb + j elements, the plan must
+    # exist and the count must let the node through.
+    p = data.draw(st.sampled_from((5, 7, 11, 13, 17, 23, 31)), label="p")
+    s = FpSet(p, data.draw(st.integers(1, (1 << p) - 1), label="S"))
+    a_bits = data.draw(st.integers(1, (1 << p) - 1), label="A")
+    tail = data.draw(st.integers(1, (1 << p) - 1), label="tail")
+    nb = data.draw(st.integers(1, 6), label="nb")
+    ms = data.draw(st.integers(1, 8), label="min_size")
+    trans = [cyclic_shift(s.bits, -c, p) for c in range(p)]
+    a_size, n = a_bits.bit_count(), tail.bit_count()
+    fits = [(a_bits & trans[c]).bit_count() for c in range(p) if tail >> c & 1]
+    # packing's first floor, any floor, and one just below the product that
+    # the j-th largest candidate would reach with #B = nb + j
+    edges = [max(0, t * (nb + j) - 1) for j, t in enumerate(sorted(fits, reverse=True), start=1)]
+    floor = data.draw(
+        st.one_of(st.just(0), st.integers(0, p * p), st.sampled_from(edges)), label="floor"
+    )
+    ctx = decomp._Ctx(DecompQuery(S=s, mode="packing", min_size=ms))
+    ctx.floor = floor
+
+    sizes_desc = sorted((t for t in fits if t >= max(ms, nb + 1)), reverse=True)
+    accepted = False
+    for j, tj in enumerate(sizes_desc, start=1):  # the kernel's sorted-size test
+        size_b = nb + j
+        if size_b > tj:
+            break
+        if size_b >= ms and tj * size_b > floor:
+            accepted = True
+            break
+
+    plan = ctx.miss_plan(nb, a_size, n)
+    rejected = plan is None or decomp._too_few_fit(trans, a_bits, tail, *plan)
+    assert not (accepted and rejected), (plan, sizes_desc)
+    if plan is not None:  # the levels count exactly the candidates with <= k misses
+        j_lo, k = plan
+        assert decomp._too_few_fit(trans, a_bits, tail, j_lo, k) == (
+            sum(a_size - t <= k for t in fits) < j_lo
+        ), plan
 
 
 def _self_grid(name):
