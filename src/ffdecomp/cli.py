@@ -14,6 +14,8 @@ exit code and the summary line.  So:
 - an instance that raises FFDecompError, ValueError or TypeError stops the
   command with exit 2, an "error: ..." line on stderr and no summary line;
   the records finished before it stay in the output as complete lines;
+- so does an output that cannot be opened or written (an OSError, such as
+  an --out in a missing directory);
 - a killed sweep keeps every record written before it was killed.
 
 Payloads hold report values as the reports made them (FpSet, Fraction,
@@ -22,7 +24,11 @@ _plain, which under --stable also zeroes the volatile fields (timestamp,
 elapsed, node counts), so reruns and different worker counts are
 byte-comparable after the canonical ordering the commands already emit.
 
-Each experiment is wired once, in EXPERIMENTS, keyed by subcommand name:
+One parser serves every command: the command is its one positional
+argument, every command takes the same flags (before or after it), and only
+sweep accepts --config.
+
+Each experiment is wired once, in EXPERIMENTS, keyed by command name:
 the flags it requires, how its flags become one instance dict, how a sweep
 config and seed become a list of instance dicts, and run(instance) ->
 payload, which both paths share.  A single-op command emits
@@ -456,7 +462,7 @@ class Experiment(NamedTuple):
     run: Callable[[dict], dict]  # instance -> payload, for both paths
 
 
-# Subcommand order is the order of the usage text.  Report functions are
+# Command order is the order of the usage text.  Report functions are
 # called through lambdas so that they are looked up by module-level name on
 # every call.
 EXPERIMENTS = {
@@ -628,51 +634,48 @@ def _sweep_payloads(tasks: list, workers: int):
 # argument parsing and dispatch
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, help="prime modulus p")
-    common.add_argument("--d", type=int, help="subgroup / character order index d")
-    common.add_argument("--j", type=int, help="character index within X_d (default 1)")
-    common.add_argument(
+    """One parser for every command: each takes the same flags, and only
+    sweep reads --config, which run refuses on the other commands."""
+    parser = argparse.ArgumentParser(
+        prog="ffdecomp",
+        description="additive decompositions of multiplicative structures mod p",
+    )
+    parser.add_argument("command", choices=[*EXPERIMENTS, "sweep"])
+    parser.add_argument("--prime", type=int, help="prime modulus p")
+    parser.add_argument("--d", type=int, help="subgroup / character order index d")
+    parser.add_argument("--j", type=int, help="character index within X_d (default 1)")
+    parser.add_argument(
         "--set",
         action="append",
         help="set family (qr, subgroup:d, primroots, interval:m,n) or literal p:{...};"
         " repeat for multi-set commands",
     )
-    common.add_argument("--m", type=int, help="number of shifts (shkvyu)")
-    common.add_argument("--shifts", help="comma-separated shift list")
-    common.add_argument("--nu", type=int, help="envelope exponent parameter")
-    common.add_argument("--poly", help="polynomial coefficients c0,c1,... low to high")
-    common.add_argument("--min-size", type=int, default=DecompQuery.min_size)
-    common.add_argument("--node-budget", type=int, default=DecompQuery.node_budget)
-    common.add_argument("--time-budget", type=float, default=DecompQuery.time_budget)
-    common.add_argument(
+    parser.add_argument("--m", type=int, help="number of shifts (shkvyu)")
+    parser.add_argument("--shifts", help="comma-separated shift list")
+    parser.add_argument("--nu", type=int, help="envelope exponent parameter")
+    parser.add_argument("--poly", help="polynomial coefficients c0,c1,... low to high")
+    parser.add_argument("--min-size", type=int, default=DecompQuery.min_size)
+    parser.add_argument("--node-budget", type=int, default=DecompQuery.node_budget)
+    parser.add_argument("--time-budget", type=float, default=DecompQuery.time_budget)
+    parser.add_argument(
         "--workers",
         type=int,
         default=1,
         help="processes for a sweep's instances; a single-op command runs in one process",
     )
-    common.add_argument(
+    parser.add_argument(
         "--seed", type=int, help="instance seed (default: the sweep config's \"seed\", else 0)"
     )
-    common.add_argument("--out", help="write records to this file instead of stdout")
-    common.add_argument("--cache-dir", dest="cache_dir", help="field table cache directory")
-    common.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    common.add_argument(
+    parser.add_argument("--out", help="write records to this file instead of stdout")
+    parser.add_argument("--cache-dir", dest="cache_dir", help="field table cache directory")
+    parser.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    parser.add_argument(
         "--stable",
         action="store_true",
         help="zero volatile fields (timestamps, elapsed, node counts) in records",
     )
-    common.add_argument("--mode", choices=["decomposition", "self"], default="decomposition")
-
-    parser = argparse.ArgumentParser(
-        prog="ffdecomp",
-        description="additive decompositions of multiplicative structures mod p",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
-        sub.add_parser(name, parents=[common])
-    sweep = sub.add_parser("sweep", parents=[common])
-    sweep.add_argument("--config", help="sweep configuration JSON file")
+    parser.add_argument("--mode", choices=["decomposition", "self"], default="decomposition")
+    parser.add_argument("--config", help="sweep configuration JSON file (sweep only)")
     return parser
 
 
@@ -680,6 +683,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None and args.command != "sweep":
+            parser.error(f"--config is only for sweep, not {args.command}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     saved_cache_dir = os.environ.get("FFDECOMP_CACHE_DIR")
@@ -698,7 +703,7 @@ def run(argv) -> int:
         tally = _Tally(expect)
         records = (make_record(args.command, seed, p, args.stable) for p in payloads)
         _write(records, args, tally)
-    except (FFDecompError, ValueError, TypeError) as exc:
+    except (FFDecompError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

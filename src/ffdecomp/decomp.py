@@ -14,7 +14,8 @@ arithmetic, runs after the node is charged and cuts only nodes the sorted
 sizes would cut, so it changes no tree, node count or result.  Self mode
 builds A itself in ascending order; a node's candidates are the c above
 max(A) with c + A and c + c inside S, and a subtree dies when A and its
-candidates together, m elements, have m(m + 1)/2 < #S pairwise sums.
+candidates together, m elements, have m(m + 1)/2 < #S pairwise sums, or when
+some element of S is neither in A + A nor in (A | candidates) + candidates.
 
 When S is a subgroup of F_p^* the whole configuration can be multiplied by
 any element of S, so the first element of a partition (the first nonzero
@@ -371,7 +372,9 @@ def _dfs_self(ctx, a_bits, sum_bits, cands):
     """Extend A, whose sumset is sum_bits, by each bit c of cands: the c above
     max(A) with c + A and c + c inside S.  The child keeps the c' > c with
     c + c' in S.  A descendant's A lies in A union cands, so when those m
-    elements have m(m + 1)/2 <= floor = #S - 1 sums no descendant covers S."""
+    elements have m(m + 1)/2 <= floor = #S - 1 sums no descendant covers S;
+    nor does one when the part of S that A + A misses is not inside
+    (A | cands) + cands."""
     if sum_bits == ctx.s_bits:
         _emit_pair(ctx, a_bits, bit_elements(a_bits))
     n = cands.bit_count()
@@ -380,8 +383,19 @@ def _dfs_self(ctx, a_bits, sum_bits, cands):
     m = a_bits.bit_count() + n
     if m * (m + 1) // 2 <= ctx.floor:
         return
-    ctx.tick(n)
     p, trans = ctx.p, ctx.trans
+    # Every new sum of a descendant uses an element of cands, so what A + A
+    # misses of S must lie in (A | cands) + cands: clear it one shift at a
+    # time and cut the node if some element stays uncovered.
+    pool, rest = a_bits | cands, cands
+    need = ctx.s_bits & ~sum_bits
+    while need and rest:
+        low = rest & -rest
+        rest ^= low
+        need &= ~cyclic_shift(pool, low.bit_length() - 1, p)
+    if need:
+        return
+    ctx.tick(n)
     while cands:
         low = cands & -cands
         cands ^= low

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -114,6 +115,67 @@ def test_unknown_command_and_flags(capsys):
     assert run(["definitely-not-a-command"]) == EXIT_USAGE
     assert run(["search", "--bogus-flag", "1"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_command(tmp_path, capsys):
+    parser = build_parser()
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    # flags may come before the command
+    argv = ["search", "--prime", "7", "--set", "qr", "--stable"]
+    assert run(argv) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert run(["--prime", "7", "--set", "qr", "search", "--stable"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    # only sweep reads --config; the other commands refuse it before any record
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "growth", "p_range": [5, 13]}))
+    for name in cli.EXPERIMENTS:
+        out = tmp_path / f"{name}.jsonl"
+        assert run([name, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE, name
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == "", name
+        assert f"error: --config is only for sweep, not {name}\n" in captured.err
+
+
+class _FullAfter:
+    """A text file whose writes fail once `lines` lines have been written."""
+
+    def __init__(self, path, lines):
+        self.file, self.left = open(path, "w"), lines
+
+    def write(self, text):
+        if not self.left:
+            raise OSError(28, "No space left on device")
+        self.left -= 1
+        return self.file.write(text)
+
+    def flush(self):
+        self.file.flush()
+
+    def close(self):
+        self.file.close()
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "shkvyu", "p_range": [5, 30], "samples": 3}))
+    sweep = ["sweep", "--config", str(cfg), "--stable"]
+    missing = tmp_path / "missing" / "x.jsonl"
+    for argv in (["growth", "--prime", "101", "--d", "2"], sweep):
+        assert run(argv + ["--out", str(missing)]) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and not missing.parent.exists()
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    # a write that fails later keeps the records written before it
+    assert run(sweep) == EXIT_OK
+    complete = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(complete) > 2
+    out = tmp_path / "out.jsonl"
+    monkeypatch.setattr(cli, "open", lambda path, mode: _FullAfter(path, 2), raising=False)
+    assert run(sweep + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert out.read_text().splitlines(keepends=True) == complete[:2]
 
 
 def test_budget_exit_code(capsys):

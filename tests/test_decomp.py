@@ -425,6 +425,31 @@ def test_packing_node_counts():
         assert (r.status, r.nodes_explored) == ("found", nodes), (p, d)
 
 
+def test_reported_b_is_lex_least_in_its_affine_orbit():
+    # For S = G_d, x -> lam * (x - t) with lam in S and t in B maps a
+    # decomposition or packing (A, B) to one with the same sizes.  The search
+    # visits B in lex order and reports the first witness, or the first
+    # packing optimum, so no image of a reported B is lex-smaller: the
+    # invariant an orderly prune of non-minimal prefixes relies on
+    # (notes/decisions.md, "Orderly search").
+    witnesses = 0
+    for p in primes_between(5, 99):
+        for d in divisors(p - 1):
+            if not 2 <= d < p - 1:
+                continue
+            s = subgroup(p, d)
+            for mode, min_size in (("decomposition", 2), ("packing", 1)):
+                r = run_query(DecompQuery(S=s, mode=mode, min_size=min_size))
+                for _, b in r.witnesses:
+                    b = b.elements()
+                    for lam in s:
+                        for t in b:
+                            image = sorted(lam * (x - t) % p for x in b)
+                            assert b <= image, (p, d, mode, b, lam, t)
+                    witnesses += 1
+    assert witnesses == 121
+
+
 def _kernel_grid(name):
     """(query fields) for each search of one reference-kernel grid."""
     if name == "subgroups":  # every G_d with 5 <= p < 200, a QR tree cut by the budget
@@ -547,10 +572,10 @@ def test_self_mode_matches_the_reference_kernel(grid):
 
 
 def test_qr_self_certificates():
-    # No A has A + A = QR(p).  The node counts pin the candidate filter and
-    # the counting bound: a kernel that cuts more or less of the tree moves
-    # them.  The kernel before them ran out of 10**7 nodes at p = 1009.
-    for p, nodes in ((61, 21), (151, 254), (307, 2_913), (1009, 219_007)):
+    # No A has A + A = QR(p).  The node counts pin the candidate filter, the
+    # counting bound and the coverage prune: a kernel that cuts more or less
+    # of the tree moves them.
+    for p, nodes in ((61, 15), (151, 37), (307, 117), (1009, 4_732)):
         r = run_query(DecompQuery(S=qr(p), mode="self_decomposition", node_budget=10**7))
         assert (r.status, r.witnesses, r.nodes_explored) == ("exhausted_none", [], nodes), p
 
