@@ -43,7 +43,8 @@ such a prime is a config error.  The other keys, with their defaults:
 
   experiment  instances                 keys (default)
   search      grid over p (and d)       set ("qr", or "subgroup"),
-                                        mode ("decomposition", or "self"),
+                                        mode ("decomposition", or "self";
+                                        any other value is a config error),
                                         min_size (2), node_budget (10**8),
                                         time_budget (300.0),
                                         d_filter ("proper"; subgroup only)
@@ -346,8 +347,11 @@ def _search_sweep(cfg: dict, seed: int) -> list[dict]:
     family = cfg.get("set", "qr")
     if family not in ("qr", "subgroup"):
         raise ConfigError(f"search sweep does not support set family {family!r}")
+    mode = cfg.get("mode", "decomposition")
+    if mode not in ("decomposition", "self"):
+        raise ConfigError(f"search sweep does not support mode {mode!r}")
     common = {
-        "mode": cfg.get("mode", "decomposition"),
+        "mode": mode,
         "min_size": cfg.get("min_size", DecompQuery.min_size),
         "single_op": False,
         **_limits(cfg),

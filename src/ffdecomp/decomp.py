@@ -46,11 +46,11 @@ sweep runs whole searches in a process pool.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ModulusTooLarge
+from .fpcore import factorize
 from .setalg import FpSet, bit_elements, bits_from, cyclic_shift
 
 MODE_DECOMPOSITION = "decomposition"
@@ -112,8 +112,7 @@ class DecompQuery:
         n = len(s)
         if n == 0 or (p - 1) % n or any(pow(x, n, p) != 1 for x in s):
             return None
-        prime = all(p % q for q in range(2, math.isqrt(p) + 1))
-        return (p - 1) // n if prime else None
+        return (p - 1) // n if factorize(p) == {p: 1} else None
 
 
 @dataclass
@@ -187,9 +186,9 @@ class _Ctx:
         # the candidates in ascending order; partition i starts with domain[i]
         # and extends by later candidates only
         if self.mode == MODE_SELF:
-            # the a with a + a in S: for odd p, S dilated by 2^-1
-            inv2 = pow(2, -1, p)
-            self.domain = sorted(inv2 * s % p for s in bit_elements(self.s_bits))
+            # the a with a + a in S (for odd p, S dilated by 2^-1)
+            targets = set(bit_elements(self.s_bits))
+            self.domain = [a for a in range(p) if 2 * a % p in targets]
             self.domain_bits = bits_from(self.domain, p)
         else:
             self.domain = list(range(1, p))

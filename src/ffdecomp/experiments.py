@@ -254,7 +254,7 @@ def shkvyu_report(p: int, d: int, shifts) -> BoundReport:
 # ---------------------------------------------------------------------------
 # product-set growth
 
-def growth_exponent_report(p: int, d: int, eps: float = DEFAULT_SIZE_EPSILON) -> BoundReport:
+def growth_exponent_report(p: int, d: int) -> BoundReport:
     """Measured exponent log #(G(G+1)) / log #G for the d-th power subgroup.
 
     Report-only (the reference exponent 57/56 carries an o(1)); records
@@ -304,8 +304,8 @@ def growth_exponent_report(p: int, d: int, eps: float = DEFAULT_SIZE_EPSILON) ->
             "subgroup_order": order,
             "grown_size": grown_size,
             "zero_in_shift": zero_in_shift,
-            "size_condition_ok": order <= p ** (1 - eps),
-            "epsilon": eps,
+            "size_condition_ok": order <= p ** (1 - DEFAULT_SIZE_EPSILON),
+            "epsilon": DEFAULT_SIZE_EPSILON,
         },
     )
 
@@ -364,13 +364,13 @@ def packing_bound_harness(
     )
 
 
-def subgroup_ratio_report(p: int, d: int, nus=(1, 2, 3)) -> BoundReport:
+def subgroup_ratio_report(p: int, d: int) -> BoundReport:
     """Envelope ratios for the double sum over A = B = G_d; report-only."""
     g = _validate_subgroup_args(p, d)
     chi = Character(p, d, 1)
     lhs = double_char_sum(chi, g, g).magnitude()
     ratios = {}
-    for nu in nus:
+    for nu in (1, 2, 3):
         env = karatsuba_envelope(p, len(g), len(g), nu)
         ratios[f"nu{nu}"] = lhs / env if env else 0.0
     return BoundReport(

@@ -2,7 +2,8 @@
 
 Polynomials are lists of coefficients, lowest degree first, reduced mod p.
 Only what the character-sum verifiers need: evaluation, gcd, derivative,
-and Yun's squarefree decomposition (valid here because degrees stay below p).
+and the degrees of the chain f, gcd(f, f'), ... (root multiplicities, valid
+here because degrees stay below p).
 """
 
 from __future__ import annotations
@@ -66,58 +67,31 @@ def derivative(c: list[int], p: int) -> list[int]:
     return trim([i * c[i] % p for i in range(1, len(c))])
 
 
-def monic(c: list[int], p: int) -> tuple[int, list[int]]:
-    """Split into (leading coefficient, monic part)."""
-    c = trim(list(c))
-    if not c:
-        raise ValueError("zero polynomial has no monic part")
-    lead = c[-1]
-    inv = pow(lead, -1, p)
-    return lead, [x * inv % p for x in c]
+def gcd_chain_degrees(f: list[int], p: int) -> list[int]:
+    """Degrees of f_0 = f, f_{k+1} = gcd(f_k, f_k'), down to degree 0.
 
-
-def squarefree_decomposition(f: list[int], p: int) -> tuple[int, list[tuple[list[int], int]]]:
-    """Yun's algorithm: f = lc * prod(a_i ** i) with the a_i squarefree, coprime.
-
-    Requires deg f < p so that no multiplicity reaches the characteristic
-    (all relevant derivatives then behave classically).
+    Requires deg f < p.  Every root of f in the algebraic closure then has a
+    multiplicity m < p, which the derivative lowers to exactly m - 1, so
+    gcd(f_k, f_k') keeps each root of f_k with one multiplicity less and
+    deg f_k is the sum of max(m - k, 0) over the distinct roots.
     """
     f = normalize(f, p)
     if not f:
         raise ValueError("zero polynomial")
     if degree(f) >= p:
-        raise ValueError(f"degree {degree(f)} >= p = {p}: decomposition needs deg f < p")
-    lc, f = monic(f, p)
-    factors: list[tuple[list[int], int]] = []
-    if degree(f) == 0:
-        return lc, factors
-    df = derivative(f, p)
-    g = gcd(f, df, p)
-    c, _ = poly_divmod(f, g, p)
-    d_, _ = poly_divmod(df, g, p)
-    d_ = trim([(x - y) % p for x, y in _pad(d_, derivative(c, p))])
-    i = 1
-    while degree(c) > 0:
-        a = gcd(c, d_, p)
-        if degree(a) > 0:
-            factors.append((a, i))
-        c, _ = poly_divmod(c, a, p)
-        quot, _ = poly_divmod(d_, a, p)
-        d_ = trim([(x - y) % p for x, y in _pad(quot, derivative(c, p))])
-        i += 1
-    return lc, factors
-
-
-def _pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+        raise ValueError(f"degree {degree(f)} >= p = {p}: the gcd chain needs deg f < p")
+    degrees = [degree(f)]
+    while degrees[-1] > 0:
+        f = gcd(f, derivative(f, p), p)
+        degrees.append(degree(f))
+    return degrees
 
 
 def distinct_root_count(f: list[int], p: int) -> int:
-    """Number of distinct roots over the algebraic closure: the degree of
-    the squarefree part (separable because deg f < p is enforced)."""
-    _, factors = squarefree_decomposition(f, p)
-    return sum(degree(a) for a, _ in factors)
+    """Number of distinct roots over the algebraic closure: deg f_0 - deg f_1
+    in the gcd chain, the roots of multiplicity at least 1."""
+    degrees = gcd_chain_degrees(f, p) + [0]
+    return degrees[0] - degrees[1]
 
 
 def is_perfect_power(f: list[int], p: int, d: int) -> bool:
@@ -129,5 +103,8 @@ def is_perfect_power(f: list[int], p: int, d: int) -> bool:
         return True  # constants are c * 1**d
     if degree(f) % d != 0:
         return False
-    _, factors = squarefree_decomposition(f, p)
-    return all(mult % d == 0 for _, mult in factors)
+    # at_least[m - 1] = deg f_{m-1} - deg f_m roots have multiplicity >= m,
+    # so at_least[m - 1] - at_least[m] have multiplicity exactly m
+    degrees = gcd_chain_degrees(f, p) + [0]
+    at_least = [a - b for a, b in zip(degrees, degrees[1:])]
+    return all(at_least[m - 1] == at_least[m] for m in range(1, len(at_least)) if m % d)

@@ -161,31 +161,19 @@ def affine(a: FpSet, lam: int, mu: int) -> FpSet:
     p = a.p
     lam %= p
     mu %= p
-    if a.bits == 0:
-        return a
-    if lam == 0:
-        return FpSet(p, 1 << mu)
-    if lam == 1:
-        return a.translate(mu)
     bits = bits_from([lam * x % p for x in bit_elements(a.bits)], p)
     return FpSet(p, cyclic_shift(bits, mu, p))
 
 
 def iterated_sumset(a: FpSet, k: int) -> FpSet:
-    """k-fold sumset A + ... + A, by doubling."""
+    """k-fold sumset A + ... + A: A added to the running sum k - 1 times, so
+    sumset always shifts by A, the smaller operand."""
     if k < 1:
         raise ValueError(f"fold count must be >= 1, got {k}")
-    if a.bits == 0:
-        return a
-    result = None
-    base = a
-    while k:
-        if k & 1:
-            result = base if result is None else sumset(result, base)
-        k >>= 1
-        if k:
-            base = sumset(base, base)
-    return result
+    out = a
+    for _ in range(k - 1):
+        out = sumset(out, a)
+    return out
 
 
 def intersect_shifts(g: FpSet, shifts) -> FpSet:

@@ -148,8 +148,7 @@ def oracle_decomposition_exists_normalized(s: FpSet) -> bool:
 
 def oracle_self_exists(s: FpSet) -> bool:
     p = s.p
-    inv2 = pow(2, -1, p)
-    domain = sorted(inv2 * x % p for x in s)
+    domain = [a for a in range(p) if 2 * a % p in s]  # every a with a + a in S
     n = len(domain)
     for a_bits in range(1, 1 << n):
         elems = [domain[i] for i in range(n) if a_bits >> i & 1]
@@ -181,8 +180,7 @@ def reference_self_search(s: FpSet, max_witnesses: int = 1):
         k %= p
         return ((bits << k) | (bits >> (p - k))) & full
 
-    inv2 = pow(2, -1, p)
-    domain = sorted(inv2 * x % p for x in s)
+    domain = [a for a in range(p) if 2 * a % p in s]
     n = len(s)
     firsts = set(domain)
     if (p - 1) % n == 0 and all(pow(x, n, p) == 1 for x in s) and all(

@@ -59,6 +59,12 @@ def test_search_found_witness(capsys):
     assert code == EXIT_OK
     assert records[0]["payload"]["status"] == "found"
     assert records[0]["payload"]["witnesses"] == [{"A": [1, 4], "B": [0, 1]}]
+    # self mode on an even modulus, where 2 has no inverse: {0, 2} + {0, 2}
+    code, records = run_records(
+        ["search", "--set", "4:{0,2}", "--prime", "4", "--mode", "self"], capsys
+    )
+    assert code == EXIT_OK
+    assert records[0]["payload"]["witnesses"] == [{"A": [0, 2], "B": [0, 2]}]
 
 
 def test_literal_subgroup_searches_like_the_family(capsys):
@@ -363,6 +369,16 @@ def test_sweep_config_errors(tmp_path, capsys):
     assert run(["sweep", "--config", str(at_cap)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "error: p_range [1048574, 1048576] reaches the field cap: hi must be below 2**20\n"
+    # a search mode other than "decomposition" or "self" is refused, not run
+    # as a decomposition search; no record is written and no --out created
+    for mode in ("bogus", "self_decomposition"):
+        bad_mode = tmp_path / f"mode_{mode}.json"
+        bad_mode.write_text(json.dumps({"experiment": "search", "p_range": [5, 20], "mode": mode}))
+        out = tmp_path / f"mode_{mode}.jsonl"
+        assert run(["sweep", "--config", str(bad_mode), "--out", str(out)]) == EXIT_USAGE, mode
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists(), mode
+        assert captured.err == f"error: search sweep does not support mode {mode!r}\n"
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"p_range": [5, 7]}))
     assert run(["sweep", "--config", str(missing)]) == EXIT_USAGE

@@ -580,6 +580,19 @@ def test_qr_self_certificates():
         assert (r.status, r.witnesses, r.nodes_explored) == ("exhausted_none", [], nodes), p
 
 
+def test_self_mode_matches_the_oracles_on_every_small_modulus():
+    # Every nonempty S of Z_p for p <= 10.  On an even modulus 2 has no
+    # inverse: a and a + p/2 have the same double, and both may start A.
+    for p in range(1, 11):
+        for bits in range(1, 1 << p):
+            s = FpSet(p, bits)
+            r = run_query(DecompQuery(S=s, mode="self_decomposition"))
+            assert (r.status == "found") == oracle_self_exists(s), s
+            assert (r.status, [a for a, _ in r.witnesses]) == reference_self_search(s), s
+            for a, b in r.witnesses:
+                assert a == b and naive_sumset(a, a) == set(s), s
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_all_modes_match_oracles_on_random_targets(data):

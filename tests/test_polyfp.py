@@ -1,4 +1,5 @@
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -27,7 +28,7 @@ def test_divmod_reconstruction():
         q, r = polyfp.poly_divmod(a, b, p)
         recon = [
             (x + y) % p
-            for x, y in polyfp._pad(mul(q, b, p), r)
+            for x, y in zip_longest(mul(q, b, p), r, fillvalue=0)
         ]
         assert polyfp.trim(recon) == polyfp.trim([c % p for c in a])
         assert polyfp.degree(r) < polyfp.degree(b)
@@ -52,31 +53,40 @@ def test_gcd_divides_both_and_is_monic():
         assert polyfp.poly_divmod(h, polyfp.gcd(g, h, p), p)[1] == []
 
 
-def _from_roots(roots_with_mult, p, lead=1):
-    f = [lead % p]
-    for r, m in roots_with_mult:
-        for _ in range(m):
-            f = mul(f, [(-r) % p, 1], p)
-    return f
+def _irreducible_monics(p, rng, count):
+    """count distinct random monic irreducibles of degree 1 to 3 over F_p: in
+    those degrees a polynomial is irreducible iff it has no root in F_p."""
+    found = set()
+    while len(found) < count:
+        q = tuple(rng.randrange(p) for _ in range(rng.randint(1, 3))) + (1,)
+        if len(q) == 2 or all(polyfp.evaluate(list(q), x, p) for x in range(p)):
+            found.add(q)
+    return [list(q) for q in found]
 
 
-def test_squarefree_decomposition_reconstructs():
+def test_root_counts_match_irreducible_factorizations():
+    # f = lc * prod q_i**m_i with distinct monic irreducibles q_i: the roots
+    # of the q_i in the closure are distinct, so f has sum(deg q_i) distinct
+    # roots, and f is c * g**d iff d divides every m_i.
     rng = random.Random(6)
-    for _ in range(150):
-        p = rng.choice((13, 31, 101))  # total degree (<= 9) must stay below p
-        n_roots = rng.randint(1, 3)
-        roots = rng.sample(range(p), n_roots)
-        mults = [rng.randint(1, 3) for _ in roots]
-        lead = rng.randint(1, p - 1)
-        f = _from_roots(list(zip(roots, mults)), p, lead)
-        lc, factors = polyfp.squarefree_decomposition(f, p)
-        assert lc == lead
-        recon = [lc]
-        for a, m in factors:
+    powers = 0
+    for _ in range(300):
+        p = rng.choice((61, 101, 127))  # total degree (<= 54) stays below p
+        d = rng.choice((1, 2, 3, 4, 6))
+        factors = _irreducible_monics(p, rng, rng.randint(0, 3))
+        if rng.random() < 0.5:
+            mults = [rng.randint(1, 3) for _ in factors]
+        else:
+            mults = [d * rng.randint(1, 3 // d or 1) for _ in factors]
+        f = [rng.randint(1, p - 1)]
+        for q, m in zip(factors, mults):
             for _ in range(m):
-                recon = mul(recon, a, p)
-        assert recon == f
-        assert polyfp.distinct_root_count(f, p) == n_roots
+                f = mul(f, q, p)
+        assert polyfp.distinct_root_count(f, p) == sum(len(q) - 1 for q in factors), (p, f)
+        power = all(m % d == 0 for m in mults)
+        assert polyfp.is_perfect_power(f, p, d) == power, (p, d, f)
+        powers += power
+    assert 0 < powers < 300
 
 
 def test_distinct_root_count_examples():
@@ -100,10 +110,20 @@ def test_is_perfect_power():
 
 
 def test_degree_guard():
+    # x**5 over F_5 has one root of multiplicity p, which the derivative
+    # does not lower: the gcd chain needs deg f < p
     with pytest.raises(ValueError):
-        polyfp.squarefree_decomposition([0, 0, 0, 0, 0, 1], 5, )
+        polyfp.distinct_root_count([0, 0, 0, 0, 0, 1], 5)
     with pytest.raises(ValueError):
-        polyfp.squarefree_decomposition([], 7)
+        polyfp.is_perfect_power([0, 0, 0, 0, 0, 1], 5, 5)
+    # the early answers come before the guard: deg f % d != 0, a constant
+    assert not polyfp.is_perfect_power([0, 0, 0, 0, 0, 1], 5, 2)
+    assert polyfp.is_perfect_power([3], 5, 5)
+    for fn, args in ((polyfp.distinct_root_count, ()), (polyfp.is_perfect_power, (2,))):
+        with pytest.raises(ValueError):
+            fn([], 7, *args)
+        with pytest.raises(ValueError):
+            fn([0, 7], 7, *args)  # zero mod p
 
 
 def test_evaluate():
