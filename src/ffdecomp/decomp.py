@@ -11,7 +11,11 @@ for that last test: it counts, over bit-sliced levels, the candidates c with
 at most k elements a of A such that a + c is outside S, and dies when fewer
 remain than the sorted sizes would need.  The count is exact integer
 arithmetic, runs after the node is charged and cuts only nodes the sorted
-sizes would cut, so it changes no tree, node count or result.  Self mode
+sizes would cut, so it changes no tree, node count or result.  For k = 0
+and k = 1, most of the counts, the levels are one or two running ANDs in
+straight-line loops.  (j_lo, k) depends only on #B, #A, the number of
+candidates that can join B and the floor; _dfs reads it from the search's
+memo under that key and works it out (miss_plan) only on a miss.  Self mode
 builds A itself in ascending order; a node's candidates are the c above
 max(A) with c + A and c + c inside S, and a subtree dies when A and its
 candidates together, m elements, have m(m + 1)/2 < #S pairwise sums, or when
@@ -200,7 +204,7 @@ class _Ctx:
         self.nodes = 0 if query.mode == MODE_SELF else 1
         self.budget_hit = False
         self.witnesses = []
-        self.plans = {}  # miss_plan's answers, by (nb, #A, j_max, floor)
+        self.plans = {}  # miss_plan's answers, by its key (nb, #A, j_max, floor)
 
     def tick(self, n=1):
         """Charge n examined candidates; stop exactly on the node budget, and
@@ -228,21 +232,19 @@ class _Ctx:
         if len(self.witnesses) >= self.max_wit:
             raise _Done
 
-    def miss_plan(self, nb, a_size, n):
-        """(j_lo, k) for a node with #B = nb, #A = a_size and n candidates,
-        or None when no extension can pass the sorted-size test.
+    def miss_plan(self, key):
+        """(j_lo, k) for a node keyed (nb, #A, j_max, floor), with j_max =
+        min(n, #A - nb) for its n candidates, or None when no extension can
+        pass the sorted-size test.  _dfs builds the key and reads self.plans
+        first; this works the answer out on a miss and stores it there.
 
         The test passes iff some j >= max(1, min_size - nb) has a j-th
         largest candidate size t_(j) >= v_j = max(nb + j, floor // (nb + j) + 1);
-        as t <= #A, only j <= j_max = min(n, #A - nb) with v_j <= #A can.
-        j_lo is the least such j and #A - k the least such v_j: a pass needs
-        j_lo candidates that each miss at most k elements of A.
+        as t <= #A, only j <= j_max with v_j <= #A can.  j_lo is the least
+        such j and #A - k the least such v_j: a pass needs j_lo candidates
+        that each miss at most k elements of A.
         """
-        floor = self.floor
-        j_max = min(n, a_size - nb)
-        key = (nb, a_size, j_max, floor)
-        if key in self.plans:
-            return self.plans[key]
+        nb, a_size, j_max, floor = key
         j_lo = v_min = None
         for j in range(max(1, self.min_size - nb), j_max + 1):
             size_b = nb + j
@@ -281,7 +283,30 @@ def _too_few_fit(trans, a_bits, tail_bits, j_lo, k):
 
     levels[i] holds the candidates with at most i misses among the rows read
     so far; the levels only shrink, so the count stops as soon as levels[k]
-    holds fewer than j_lo."""
+    holds fewer than j_lo.  k = 0 and k = 1, most of the calls, run the same
+    levels unrolled: k = 0 keeps levels[0] alone (tail &= row); k = 1 keeps
+    one = levels[1] and zero = levels[0], and updates one first, so that it
+    reads the zero of the rows before this one."""
+    if k == 0:
+        tail = tail_bits
+        while a_bits:
+            low = a_bits & -a_bits
+            a_bits ^= low
+            tail &= trans[low.bit_length() - 1]
+            if tail.bit_count() < j_lo:
+                return True
+        return False
+    if k == 1:
+        zero = one = tail_bits
+        while a_bits:
+            low = a_bits & -a_bits
+            a_bits ^= low
+            row = trans[low.bit_length() - 1]
+            one = (one & row) | zero
+            zero &= row
+            if one.bit_count() < j_lo:
+                return True
+        return False
     levels = [tail_bits] * (k + 1)
     while a_bits:
         low = a_bits & -a_bits
@@ -313,13 +338,18 @@ def _dfs(ctx, b_list, a_bits, a_size, cands, start, tail_bits):
     n = len(cands) - start
     if n <= 0:
         return
-    bound_b = min(nb + n, a_size)
+    bound_b = nb + n if nb + n < a_size else a_size
     if bound_b < ms or a_size * bound_b <= ctx.floor:
         return
     # Every candidate is examined below and the loop has no other effect,
     # so charging them in one go stops the budget on the same count.
     ctx.tick(n)
-    plan = ctx.miss_plan(nb, a_size, n)
+    j_max = n if n < a_size - nb else a_size - nb
+    key = (nb, a_size, j_max, ctx.floor)
+    try:
+        plan = ctx.plans[key]
+    except KeyError:
+        plan = ctx.miss_plan(key)
     if plan is None:
         return
     trans = ctx.trans
@@ -362,7 +392,7 @@ def _dfs(ctx, b_list, a_bits, a_size, cands, start, tail_bits):
     for i, c in enumerate(kept):
         tail ^= 1 << c  # the child's candidates: kept[i + 1:]
         t = sizes[i]
-        child_bound = min(last - i, t)
+        child_bound = last - i if last - i < t else t
         if child_bound >= ms and t * child_bound > ctx.floor:
             _dfs(ctx, b_list + [c], kept_bits[i], t, kept, i + 1, tail)
 

@@ -25,6 +25,7 @@ from ffdecomp.decomp import (
     run_query,
 )
 from ffdecomp.errors import ModulusTooLarge
+from ffdecomp.experiments import grid_divisors
 from ffdecomp.fpcore import divisors, primes_up_to, subgroup
 from ffdecomp.setalg import FpSet, cyclic_shift
 
@@ -457,6 +458,12 @@ def _kernel_grid(name):
             for d in divisors(p - 1):
                 for mode in ("decomposition", "packing"):
                     yield dict(S=subgroup(p, d), mode=mode, node_budget=5_000)
+    elif name == "whole":  # perfbench's search targets, searched to the end
+        for p in (151, 157):
+            yield dict(S=subgroup(p, 2), mode="decomposition")
+        for p in primes_between(5, 157):
+            for d in grid_divisors(p, "all"):
+                yield dict(S=subgroup(p, d), mode="packing", min_size=1)
     else:
         rng = random.Random(3)
         for _ in range(300):
@@ -470,13 +477,15 @@ def _kernel_grid(name):
             )
 
 
-@pytest.mark.parametrize("grid", ["subgroups", "random"])
+@pytest.mark.parametrize("grid", ["subgroups", "random", "whole"])
 def test_kernel_matches_the_reference_kernel(grid, monkeypatch):
     # The reference sizes every candidate of every node; the kernel first
     # counts the candidates with few enough misses and skips the sizing when
     # too few fit.  That test only rejects nodes the sorted-size test would
     # reject, after the node is charged, so the two search the same tree:
     # statuses, witnesses, products and node counts agree, budget stops too.
+    # The budgeted grids compare no deep node of a certificate; "whole"
+    # runs QR p = 151 and 157 and the packing grid to the end.
     ours = [(fields, run_query(DecompQuery(**fields))) for fields in _kernel_grid(grid)]
 
     def root(ctx, b_list, a_bits, a_size, cands, start, tail_bits):
@@ -489,7 +498,7 @@ def test_kernel_matches_the_reference_kernel(grid, monkeypatch):
         got = (r.status, r.witnesses, r.extras, r.nodes_explored)
         assert got == (ref.status, ref.witnesses, ref.extras, ref.nodes_explored), fields
         stops += r.status == "budget_exceeded"
-    assert stops > 0
+    assert (stops > 0) == (grid != "whole")
 
 
 @settings(max_examples=300, deadline=None)
@@ -527,14 +536,20 @@ def test_miss_count_never_rejects_what_the_sorted_test_accepts(data):
             accepted = True
             break
 
-    plan = ctx.miss_plan(nb, a_size, n)
+    plan = ctx.miss_plan((nb, a_size, min(n, a_size - nb), floor))
     rejected = plan is None or decomp._too_few_fit(trans, a_bits, tail, *plan)
     assert not (accepted and rejected), (plan, sizes_desc)
-    if plan is not None:  # the levels count exactly the candidates with <= k misses
-        j_lo, k = plan
+    # The levels count exactly the candidates with <= k misses, on the plan's
+    # (j_lo, k) and on a drawn one, so that k = 0, k = 1 and the general
+    # level loop are each checked, with j_lo on both sides of the count.
+    drawn = (
+        data.draw(st.integers(1, n + 1), label="j_lo"),
+        data.draw(st.integers(0, 4), label="k"),
+    )
+    for j_lo, k in (drawn,) if plan is None else (plan, drawn):
         assert decomp._too_few_fit(trans, a_bits, tail, j_lo, k) == (
             sum(a_size - t <= k for t in fits) < j_lo
-        ), plan
+        ), (j_lo, k)
 
 
 def _self_grid(name):
