@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass
 
 from . import polyfp
 from .errors import BadIndex
@@ -22,25 +21,32 @@ from .setalg import FpSet
 MAGNITUDE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
 class Character:
     """chi_j in X_d: the character of F_p^* sending g**k to zeta_d**(j*k).
 
     j = 0 is the principal character; chi_j has order d / gcd(j, d).
     chi(0) contributes zero by convention.  Checks p, then d and j.
+    Immutable.
     """
 
-    p: int
-    d: int
-    j: int
+    __slots__ = ("p", "d", "j")
 
-    def __post_init__(self):
-        p = self.p
+    def __init__(self, p: int, d: int, j: int):
         check_modulus(p)
-        if self.d < 1 or (p - 1) % self.d != 0:
-            raise BadIndex(f"character order context d = {self.d} must divide p-1 = {p - 1}")
-        if not 0 <= self.j < self.d:
-            raise BadIndex(f"character index j = {self.j} out of range [0, {self.d})")
+        if d < 1 or (p - 1) % d != 0:
+            raise BadIndex(f"character order context d = {d} must divide p-1 = {p - 1}")
+        if not 0 <= j < d:
+            raise BadIndex(f"character index j = {j} out of range [0, {d})")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "j", j)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Character is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        # as for FpSet: unpickling through __setattr__ would be refused
+        return Character, (self.p, self.d, self.j)
 
     @property
     def is_principal(self) -> bool:

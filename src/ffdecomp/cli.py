@@ -10,7 +10,10 @@ finishes, in grid order for any worker count, and a running tally gives the
 exit code and the summary line.  So:
 
 - a usage or config error is raised before the first record: nothing is
-  written and no --out file is created;
+  written and no --out file is created.  That includes each count a sweep
+  config gives (samples, g_max, deg_max, b_max and size_max must be
+  integers >= 1, and m a nonempty list of integers >= 2), which is checked
+  as the sweep expands and named in the error;
 - an instance that raises FFDecompError, ValueError or TypeError stops the
   command with exit 2, an "error: ..." line on stderr and no summary line;
   the records finished before it stay in the output as complete lines;
@@ -18,8 +21,8 @@ exit code and the summary line.  So:
   an --out in a missing directory);
 - a killed sweep keeps every record written before it was killed.
 
-Payloads hold report values as the reports made them (FpSet, Fraction,
-...); make_record converts each whole record to JSON values in one pass,
+Payloads hold report values as the reports made them (FpSet, tuple, numpy
+scalar, ...); make_record converts each whole record to JSON values in one pass,
 _plain, which under --stable also zeroes the volatile fields (timestamp,
 elapsed, node counts), so reruns and different worker counts are
 byte-comparable after the canonical ordering the commands already emit.
@@ -67,13 +70,11 @@ one integer d.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -120,9 +121,9 @@ def _plain(obj, stable: bool):
     """obj as a record value: the one conversion of report values to JSON.
 
     Dicts become dicts with str keys and lists and tuples become lists, at
-    any depth; an FpSet becomes its element list, a Fraction a float and a
-    numpy scalar its .item(); ints, floats, strs, bools and None (subclasses
-    too) stay as they are, and anything else becomes its str.  Under stable
+    any depth; an FpSet becomes its element list and a numpy scalar its
+    .item(); ints, floats, strs, bools and None (subclasses too) stay as
+    they are, and anything else becomes its str.  Under stable
     the value of every key in _VOLATILE_KEYS, at any depth, becomes 0.
     Members of exact JSON scalar types are kept without a call."""
     if isinstance(obj, dict):
@@ -140,8 +141,6 @@ def _plain(obj, stable: bool):
         return [v if type(v) in _JSON_SCALARS else _plain(v, stable) for v in obj]
     if isinstance(obj, FpSet):
         return obj.elements()
-    if isinstance(obj, Fraction):
-        return float(obj)
     if obj is None or isinstance(obj, (int, float, str)):
         return obj
     if hasattr(obj, "item"):  # numpy scalars
@@ -251,6 +250,8 @@ def _write(records: Iterable[dict], args, tally: _Tally) -> None:
             if out is None:
                 out = open(args.out, "w") if args.out else sys.stdout
                 if args.format == "csv":
+                    import csv  # only CSV output needs it
+
                     rows = csv.DictWriter(out, fieldnames=_CSV_FIELDS, extrasaction="ignore")
                     rows.writeheader()
             if rows is None:
@@ -365,11 +366,12 @@ def _search_sweep(cfg: dict, seed: int) -> list[dict]:
 
 
 def _run_search(inst: dict) -> dict:
-    """A single-op record echoes the family and carries its part-size bounds;
-    a sweep record echoes the config's mode string instead."""
+    """Every record echoes the --mode or config mode string.  A single-op
+    record also echoes the family and carries its part-size bounds."""
     mode = "self_decomposition" if inst["mode"] == "self" else "decomposition"
     payload, meta, report = _search_target(inst, mode, inst["min_size"])
     if inst["single_op"]:
+        payload["instance"]["mode"] = inst["mode"]
         _attach_family_bounds(payload, meta, inst["p"], report)
     else:
         payload["instance"] = {"p": inst["p"], "set": inst["set"], "mode": inst["mode"]}
@@ -456,7 +458,28 @@ def _subgroup_grid(cfg: dict, d_filter: str, **extra) -> list[dict]:
 
 def _seeded(cfg: dict, seed: int) -> dict:
     """The primes, count and seed arguments of a seeded instance generator."""
-    return {"primes": _config_primes(cfg, 5), "count": cfg.get("samples", 100), "seed": seed}
+    return {
+        "primes": _config_primes(cfg, 5),
+        "count": _config_int(cfg, "samples", 100),
+        "seed": seed,
+    }
+
+
+def _config_int(cfg: dict, key: str, default: int) -> int:
+    """cfg[key], else default; a ConfigError naming the key unless it is an
+    int >= 1."""
+    value = cfg.get(key, default)
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"config field {key!r} must be an integer >= 1")
+    return value
+
+
+def _config_ms(cfg: dict) -> tuple[int, ...]:
+    """The shift counts m of a shkvyu config: a nonempty list of ints >= 2."""
+    ms = cfg.get("m", [2, 3])
+    if not isinstance(ms, list) or not ms or any(type(m) is not int or m < 2 for m in ms):
+        raise ConfigError("config field 'm' must be a nonempty list of integers >= 2")
+    return tuple(ms)
 
 
 class Experiment(NamedTuple):
@@ -481,7 +504,7 @@ EXPERIMENTS = {
         ("prime", "d", "poly"),
         lambda args: {**_character_args(args), "poly": _parse_poly(args.poly)},
         lambda cfg, seed: experiments.weil_instances(
-            **_seeded(cfg, seed), deg_max=cfg.get("deg_max", 6)
+            **_seeded(cfg, seed), deg_max=_config_int(cfg, "deg_max", 6)
         ),
         lambda inst: weil_report(_character(inst), inst["poly"]).to_dict(),
     ),
@@ -501,7 +524,7 @@ EXPERIMENTS = {
         ("prime", "d", "set"),
         _b_set_from_args,
         lambda cfg, seed: experiments.wsum_instances(
-            **_seeded(cfg, seed), b_max=cfg.get("b_max", 6)
+            **_seeded(cfg, seed), b_max=_config_int(cfg, "b_max", 6)
         ),
         lambda inst: w_identity_report(inst["p"], inst["d"], inst["B"]).to_dict(),
     ),
@@ -509,7 +532,7 @@ EXPERIMENTS = {
         ("prime", "d", "set"),
         _b_set_from_args,
         lambda cfg, seed: experiments.nsum_instances(
-            **_seeded(cfg, seed), b_max=cfg.get("b_max", 6)
+            **_seeded(cfg, seed), b_max=_config_int(cfg, "b_max", 6)
         ),
         lambda inst: n_count_report(inst["p"], inst["d"], inst["B"]).to_dict(),
     ),
@@ -518,8 +541,8 @@ EXPERIMENTS = {
         _shkvyu_from_args,
         lambda cfg, seed: experiments.shkvyu_instances(
             **_seeded(cfg, seed),
-            order_cap=cfg.get("g_max", 30),
-            ms=tuple(cfg.get("m", [2, 3])),
+            order_cap=_config_int(cfg, "g_max", 30),
+            ms=_config_ms(cfg),
         ),
         lambda inst: shkvyu_report(inst["p"], inst["d"], inst["shifts"]).to_dict(),
     ),
@@ -541,7 +564,7 @@ EXPERIMENTS = {
         ("prime",),
         lambda args: {"p": args.prime, **_two_sets(args)},
         lambda cfg, seed: experiments.bourgain_instances(
-            **_seeded(cfg, seed), size_max=cfg.get("size_max", 6)
+            **_seeded(cfg, seed), size_max=_config_int(cfg, "size_max", 6)
         ),
         lambda inst: bourgain_report(inst["p"], inst["A"], inst["B"]).to_dict(),
     ),

@@ -51,7 +51,6 @@ sweep runs whole searches in a process pool.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
 
 from .errors import ModulusTooLarge
 from .fpcore import factorize
@@ -72,7 +71,6 @@ STATUS_BUDGET = "budget_exceeded"
 TABLE_BYTES_CAP = 1 << 30
 
 
-@dataclass(frozen=True)
 class DecompQuery:
     """Target set plus search mode and resource limits.
 
@@ -83,24 +81,45 @@ class DecompQuery:
     coset minimum.  The first witness, and the first packing optimum, are the
     ones the unquotiented search reports; with max_witnesses > 1 the further
     witnesses are drawn only from partitions that start at a coset minimum.
+
+    Immutable.  The defaults are class attributes, which the CLI reads as
+    its flag defaults; so the fields live in the instance __dict__, since a
+    slot and a class attribute cannot share a name.
     """
 
-    S: FpSet
-    mode: str
-    min_size: int = 2
-    node_budget: int = 10**8
-    time_budget: float = 300.0
-    max_witnesses: int = 1
+    min_size = 2
+    node_budget = 10**8
+    time_budget = 300.0
+    max_witnesses = 1
 
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.min_size < 1:
+    def __init__(
+        self,
+        S: FpSet,
+        mode: str,
+        min_size: int = min_size,
+        node_budget: int = node_budget,
+        time_budget: float = time_budget,
+        max_witnesses: int = max_witnesses,
+    ):
+        if mode not in _MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if min_size < 1:
             raise ValueError("min_size must be >= 1")
-        if self.node_budget < 1 or self.time_budget <= 0:
+        if node_budget < 1 or time_budget <= 0:
             raise ValueError("budgets must be positive")
-        if self.max_witnesses < 1:
+        if max_witnesses < 1:
             raise ValueError("max_witnesses must be >= 1")
+        vars(self).update(
+            S=S,
+            mode=mode,
+            min_size=min_size,
+            node_budget=node_budget,
+            time_budget=time_budget,
+            max_witnesses=max_witnesses,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DecompQuery is immutable: cannot set {name!r}")
 
     @property
     def subgroup_d(self) -> int | None:
@@ -119,16 +138,25 @@ class DecompQuery:
         return (p - 1) // n if factorize(p) == {p: 1} else None
 
 
-@dataclass
 class DecompReport:
     """Search outcome.  A status of exhausted_none certifies that the full
     normalized space was covered with no budget interruption."""
 
-    status: str
-    witnesses: list
-    nodes_explored: int
-    elapsed: float
-    extras: dict = dc_field(default_factory=dict)
+    __slots__ = ("status", "witnesses", "nodes_explored", "elapsed", "extras")
+
+    def __init__(
+        self,
+        status: str,
+        witnesses: list,
+        nodes_explored: int,
+        elapsed: float,
+        extras: dict | None = None,
+    ):
+        self.status = status
+        self.witnesses = witnesses
+        self.nodes_explored = nodes_explored
+        self.elapsed = elapsed
+        self.extras = {} if extras is None else extras
 
     def to_dict(self) -> dict:
         """The payload of this report's record: each witness pair becomes

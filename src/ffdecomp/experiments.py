@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from . import fpcore, polyfp
 from .charsum import Character, double_char_sum, karatsuba_envelope
@@ -102,6 +101,8 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
     translate can then hit zero); that condition is reported as
     hypothesis_ok and route (iii) is asserted only under it.
     """
+    from fractions import Fraction  # imported here: no other command builds one
+
     import numpy as np
 
     sub = _validate_subgroup_args(p, d)

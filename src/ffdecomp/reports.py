@@ -1,16 +1,14 @@
 """Structured outcomes of bound checks and identity verifications.
 
 A report's to_dict gives the record's shape, holding the report's values as
-they are (FpSet, Fraction, tuple, ...): the conversion to JSON values is
+they are (FpSet, tuple, numpy scalar, ...): the conversion to JSON values is
 cli._plain's alone, applied once to each whole record."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
 class BoundReport:
     """One lemma/bound check: measured quantity vs bound formula.
 
@@ -18,14 +16,29 @@ class BoundReport:
     hypothesis_ok is None when the statement has no side condition.
     """
 
-    experiment: str
-    instance: dict
-    lhs: float | None = None
-    rhs: float | None = None
-    hypothesis_ok: bool | None = None
-    ok: bool | None = None
-    tolerance: float | None = None
-    extras: dict = field(default_factory=dict)
+    __slots__ = (
+        "experiment", "instance", "lhs", "rhs", "hypothesis_ok", "ok", "tolerance", "extras"
+    )
+
+    def __init__(
+        self,
+        experiment: str,
+        instance: dict,
+        lhs: float | None = None,
+        rhs: float | None = None,
+        hypothesis_ok: bool | None = None,
+        ok: bool | None = None,
+        tolerance: float | None = None,
+        extras: dict | None = None,
+    ):
+        self.experiment = experiment
+        self.instance = instance
+        self.lhs = lhs
+        self.rhs = rhs
+        self.hypothesis_ok = hypothesis_ok
+        self.ok = ok
+        self.tolerance = tolerance
+        self.extras = {} if extras is None else extras
 
     def to_dict(self) -> dict:
         """The payload of this report's record, its values unconverted; the

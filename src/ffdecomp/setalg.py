@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 
 from .errors import DuplicateShift, MixedModulus
 
@@ -63,22 +62,39 @@ def bits_from(positions, n: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-@dataclass(frozen=True, slots=True)
 class FpSet:
     """A subset of Z_p as a dense bit-vector.
 
     bits must only have bits below p set; use from_elements for arbitrary
-    integer input (it reduces mod p).
+    integer input (it reduces mod p).  Immutable, equal and hashable on
+    (p, bits).
     """
 
-    p: int
-    bits: int
+    __slots__ = ("p", "bits")
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"ambient modulus must be positive, got {self.p}")
-        if self.bits < 0 or self.bits >> self.p:
+    def __init__(self, p: int, bits: int):
+        if p < 1:
+            raise ValueError(f"ambient modulus must be positive, got {p}")
+        if bits < 0 or bits >> p:
             raise ValueError("bit-vector has bits outside [0, p)")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FpSet is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        # unpickling a slotted object sets its slots through __setattr__,
+        # which refuses; rebuild through __init__ instead
+        return FpSet, (self.p, self.bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not FpSet:
+            return NotImplemented
+        return self.p == other.p and self.bits == other.bits
+
+    def __hash__(self):
+        return hash((self.p, self.bits))
 
     @classmethod
     def from_elements(cls, p: int, elements) -> "FpSet":

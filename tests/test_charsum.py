@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -76,6 +77,11 @@ def test_character_validation_and_order():
     assert Character(13, 6, 1).order == 6
     assert Character(13, 6, 4).order == 3
     assert Character(13, 6, 0).is_principal
+    with pytest.raises(AttributeError):
+        Character(13, 6, 1).j = 0
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(Character(13, 6, 4), protocol))
+        assert (back.p, back.d, back.j, back.order) == (13, 6, 4, 3)
     with pytest.raises(BadIndex):
         Character(13, 5, 1)  # 5 does not divide 12
     with pytest.raises(BadIndex):

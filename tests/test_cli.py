@@ -9,7 +9,6 @@ import os
 import resource
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +244,15 @@ def test_single_op_commands(capsys):
         assert records[0]["payload"].get("ok") is not False
 
 
+def test_single_op_search_records_echo_the_mode(capsys):
+    # a self-mode record must not read like a decomposition record
+    for flags, mode in (([], "decomposition"), (["--mode", "self"], "self")):
+        code, (rec,) = run_records(["search", "--set", "qr", "--prime", "11", *flags], capsys)
+        assert code == EXIT_OK
+        want = {"p": 11, "set": "qr", "family": "qr", "d": 2, "mode": mode}
+        assert rec["payload"]["instance"] == want
+
+
 def test_parse_target_families():
     s, meta = parse_target("qr", 7)
     assert s == FpSet.from_elements(7, [1, 2, 4]) and meta["d"] == 2
@@ -379,6 +387,31 @@ def test_sweep_config_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists(), mode
         assert captured.err == f"error: search sweep does not support mode {mode!r}\n"
+    # the counts of a sweep are checked as it expands, so a bad one writes no
+    # record: m = [2, 1] used to write the m = 2 records and then fail at the
+    # first single shift, and a zero maximum failed inside randint
+    m_error = "'m' must be a nonempty list of integers >= 2"
+    bad_counts = [  # (experiment, config keys, the error line after "config field ")
+        ("shkvyu", {"p_range": [5, 7], "samples": 2, "m": [2, 1]}, m_error),
+        ("shkvyu", {"p_range": [5, 7], "m": 2}, m_error),
+        ("shkvyu", {"p_range": [5, 7], "m": []}, m_error),
+        ("shkvyu", {"p_range": [5, 7], "g_max": "x"}, "'g_max' must be an integer >= 1"),
+        ("shkvyu", {"p_range": [5, 7], "g_max": 0}, "'g_max' must be an integer >= 1"),
+        ("weil", {"p_range": [5, 7], "deg_max": 0}, "'deg_max' must be an integer >= 1"),
+        ("wsum", {"p_range": [5, 7], "b_max": 0}, "'b_max' must be an integer >= 1"),
+        ("nsum", {"p_range": [5, 7], "b_max": 0}, "'b_max' must be an integer >= 1"),
+        ("bourgain", {"p_range": [5, 7], "size_max": 0}, "'size_max' must be an integer >= 1"),
+        ("vinogradov", {"p_range": [5, 7], "samples": "3"}, "'samples' must be an integer >= 1"),
+        ("interval", {"p_range": [5, 7], "samples": 0}, "'samples' must be an integer >= 1"),
+    ]
+    for i, (name, extra, message) in enumerate(bad_counts):
+        cfg = tmp_path / f"count{i}.json"
+        cfg.write_text(json.dumps({"experiment": name, **extra}))
+        out = tmp_path / f"count{i}.jsonl"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE, extra
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists(), extra
+        assert captured.err == f"error: config field {message}\n", extra
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"p_range": [5, 7]}))
     assert run(["sweep", "--config", str(missing)]) == EXIT_USAGE
@@ -601,8 +634,10 @@ _IMPORT_PROBE = r"""
 import contextlib, hashlib, io, json, sys
 from ffdecomp import cli
 
+SLOW = ("numpy", "concurrent.futures.process", "dataclasses", "inspect", "fractions", "decimal", "csv")
+
 def loaded():
-    return [m for m in ("numpy", "concurrent.futures.process") if m in sys.modules]
+    return [m for m in SLOW if m in sys.modules]
 
 result = {"import": loaded()}
 for name, argv in json.loads(sys.argv[1]):
@@ -630,9 +665,11 @@ def _probe(commands, cache_dir):
 
 def test_numpy_is_imported_only_where_it_computes(tmp_path):
     """Run the CLI in fresh processes whose fields are all in the disk cache:
-    importing it loads neither numpy nor the process pool, the searches,
-    packing, shkvyu, vinogradov and growth run without numpy, and the three
-    float-vector reports import it and keep their recorded bytes."""
+    importing it loads none of numpy, the process pool, dataclasses,
+    inspect, fractions, decimal and csv; the searches, packing, shkvyu,
+    vinogradov and growth load none of them either; CSV output loads only
+    csv; the three float-vector reports import numpy, wsum alone fractions
+    too, and they keep their recorded bytes."""
     def sweep(name):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps({"experiment": name, **SWEEP_CONFIGS[name]}))
@@ -646,7 +683,8 @@ def test_numpy_is_imported_only_where_it_computes(tmp_path):
                             "--set", "151:{5}", "--stable"]),
         ("vinogradov_10037", ["vinogradov", *VINOGRADOV_10037, "--stable"]),
         ("growth", ["growth", "--prime", "10037", "--d", "2", "--stable"]),
-        *[(name, sweep(name)) for name in ("wsum", "nsum", "interval")],
+        ("csv", ["growth", "--prime", "10037", "--d", "2", "--stable", "--format", "csv"]),
+        *[(name, sweep(name)) for name in ("nsum", "interval", "wsum")],
     ]
 
     warm = _probe(commands, tmp_path / "cache")  # builds every field into the empty cache
@@ -656,8 +694,14 @@ def test_numpy_is_imported_only_where_it_computes(tmp_path):
     assert cached["import"] == []
     for name in ("search", "packing", "shkvyu", "vinogradov_151", "vinogradov_10037", "growth"):
         assert cached[name][:2] == [EXIT_OK, []], name
-    for name in ("wsum", "nsum", "interval"):
-        assert cached[name] == [EXIT_OK, ["numpy"], SWEEP_DIGESTS[name][0]], name
+    assert cached["csv"][:2] == [EXIT_OK, ["csv"]]
+    # loaded() is cumulative, so csv stays from the command before; numpy
+    # itself may load inspect, and fractions loads decimal
+    for name in ("nsum", "interval", "wsum"):
+        code, modules, digest = cached[name]
+        assert [code, digest] == [EXIT_OK, SWEEP_DIGESTS[name][0]], name
+        want = ["numpy", "fractions", "decimal", "csv"] if name == "wsum" else ["numpy", "csv"]
+        assert [m for m in modules if m != "inspect"] == want, name
     assert cached["shkvyu"][2] == SWEEP_DIGESTS["shkvyu"][0]
     # a cold build and a load from the cache give the same records
     assert [warm[name][2] for name, _ in commands] == [cached[name][2] for name, _ in commands]
@@ -780,8 +824,6 @@ _ORACLE_VOLATILE = {"elapsed", "nodes_explored", "nodes", "timestamp"}
 def oracle_json_ready(obj):
     if isinstance(obj, FpSet):
         return obj.elements()
-    if isinstance(obj, Fraction):
-        return float(obj)
     if isinstance(obj, dict):
         return {str(k): oracle_json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -957,7 +999,6 @@ _LEAVES = st.one_of(
     st.text(max_size=4),
     st.booleans(),
     st.none(),
-    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
     st.builds(_IntSub, st.integers()),
     st.builds(lambda p, bits: FpSet(p, bits % (1 << p)), st.sampled_from([5, 7, 11]), st.integers(0)),
     st.builds(np.int64, st.integers(-(2**40), 2**40)),

@@ -258,6 +258,14 @@ def test_budget_exceeded_status():
 
 def test_query_validation():
     s = qr(7)
+    # the defaults stay readable on the class, where the CLI reads them
+    q = DecompQuery(S=s, mode="decomposition")
+    assert (q.min_size, q.node_budget, q.time_budget, q.max_witnesses) == (2, 10**8, 300.0, 1)
+    assert (DecompQuery.min_size, DecompQuery.node_budget, DecompQuery.time_budget) == (
+        2, 10**8, 300.0
+    )
+    with pytest.raises(AttributeError):
+        q.node_budget = 1
     with pytest.raises(ValueError):
         DecompQuery(S=s, mode="bogus")
     with pytest.raises(ValueError):

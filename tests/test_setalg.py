@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,16 @@ def test_set_basics():
     assert s.translate(2) == fpset(7, 3, 0)
     with pytest.raises(ValueError):
         FpSet(7, 1 << 7)
+    # equal and hashable on (p, bits), and immutable
+    assert s == FpSet(7, 0b100010) and hash(s) == hash(FpSet(7, 0b100010))
+    assert s != FpSet(11, s.bits) and s != (7, s.bits)
+    with pytest.raises(AttributeError):
+        s.bits = 0
+    # a process pool pickles sets; a slotted class whose __setattr__ refuses
+    # unpickles only through __reduce__
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(s, protocol))
+        assert back == s and type(back) is FpSet
 
 
 @settings(max_examples=60, deadline=None)
