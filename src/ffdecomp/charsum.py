@@ -16,7 +16,7 @@ from . import polyfp
 from .errors import BadIndex
 from .fpcore import check_modulus, make_field
 from .reports import BoundReport
-from .setalg import FpSet
+from .setalg import FpSet, check_same
 
 MAGNITUDE_TOL = 1e-6
 
@@ -158,8 +158,7 @@ def double_char_sum(chi: Character, a: FpSet, b: FpSet) -> RootOfUnityTally:
     O(#A * #B).
     """
     p = chi.p
-    if a.p != p or b.p != p:
-        raise BadIndex("sets must live in the character's field")
+    check_same(p, a, b)
     tally = RootOfUnityTally(chi.d)
     if a.bits == 0 or b.bits == 0:
         return tally

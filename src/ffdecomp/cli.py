@@ -10,10 +10,9 @@ finishes, in grid order for any worker count, and a running tally gives the
 exit code and the summary line.  So:
 
 - a usage or config error is raised before the first record: nothing is
-  written and no --out file is created.  That includes each count a sweep
-  config gives (samples, g_max, deg_max, b_max and size_max must be
-  integers >= 1, and m a nonempty list of integers >= 2), which is checked
-  as the sweep expands and named in the error;
+  written and no --out file is created.  Every key of a sweep config is
+  checked once, before its grid expands: a key its experiment does not
+  read, or a value its rule refuses, is a config error naming the key;
 - an instance that raises FFDecompError, ValueError or TypeError stops the
   command with exit 2, an "error: ..." line on stderr and no summary line;
   the records finished before it stay in the output as complete lines;
@@ -21,50 +20,39 @@ exit code and the summary line.  So:
   an --out in a missing directory);
 - a killed sweep keeps every record written before it was killed.
 
-Payloads hold report values as the reports made them (FpSet, tuple, numpy
-scalar, ...); make_record converts each whole record to JSON values in one pass,
-_plain, which under --stable also zeroes the volatile fields (timestamp,
-elapsed, node counts), so reruns and different worker counts are
-byte-comparable after the canonical ordering the commands already emit.
+Payloads hold report values as the reports made them (FpSet, tuple, ...);
+make_record converts each whole record to JSON values in one pass, _plain,
+which under --stable also zeroes the volatile fields (timestamp, elapsed,
+node counts), so reruns and different worker counts are byte-comparable
+after the canonical ordering the commands already emit.
 
 One parser serves every command: the command is its one positional
 argument, every command takes the same flags (before or after it), and only
 sweep accepts --config.
 
 Each experiment is wired once, in EXPERIMENTS, keyed by command name:
-the flags it requires, how its flags become one instance dict, how a sweep
-config and seed become a list of instance dicts, and run(instance) ->
-payload, which both paths share.  A single-op command emits
+the flags it requires, how its flags become one instance dict, the sweep
+config keys it reads with their defaults, how a checked sweep config and
+seed become a list of instance dicts, and run(instance) -> payload, which
+both paths share.  A single-op command emits
 run(from_args(args)) in this process; sweep maps run over its grid, sending
 (name, instance) pairs to the worker pool.
 
 A sweep config is a JSON object with "experiment" and "p_range" [lo, hi];
-"seed" (else 0; --seed wins) and "expect" (a status every record must
-report) are optional.  A grid takes every prime p >= 3 of p_range, a seeded
-experiment draws from the primes p >= 5 of p_range, and a p_range without
-such a prime is a config error.  The other keys, with their defaults:
+"seed" (else 0; --seed wins) is optional.  A grid takes every prime p >= 3
+of p_range, a seeded experiment draws from the primes p >= 5 of p_range,
+and a p_range without such a prime is a config error.  The other keys,
+with their defaults, are in the experiment's EXPERIMENTS entry, which is
+the reference for them, and CONFIG_RULES says what each value must be.
+"expect", a status every record must report, goes with search and packing,
+whose records carry one.
 
-  experiment  instances                 keys (default)
-  search      grid over p (and d)       set ("qr", or "subgroup"),
-                                        mode ("decomposition", or "self";
-                                        any other value is a config error),
-                                        min_size (2), node_budget (10**8),
-                                        time_budget (300.0),
-                                        d_filter ("proper"; subgroup only)
-  packing     grid over (p, d)          d_filter ("all"), node_budget, time_budget
-  karatsuba   grid over (p, d)          d_filter ("all")
-  growth      grid over (p, d)          d_filter ("order>=2")
-  weil        seeded: samples draws     samples (100), deg_max (6)
-  vinogradov  seeded: samples draws     samples (100)
-  wsum, nsum  seeded: samples draws     samples (100), b_max (6)
-  interval    seeded: samples draws     samples (100)
-  bourgain    seeded: samples draws     samples (100), size_max (6)
-  shkvyu      seeded: samples per       samples (100), g_max (30), m ([2, 3])
-              (p, d, m), #G_d <= g_max
-
-d_filter picks the d of each p (experiments.grid_divisors): "all" every
-d >= 2 dividing p - 1, "proper" or "order>=2" those with #G_d >= 2 too, or
-one integer d.
+search runs a grid over p for set "qr" and over (p, d) for "subgroup";
+packing, karatsuba and growth run grids over (p, d); the other experiments
+are seeded and draw samples instances, shkvyu samples per (p, d, m) with
+#G_d <= g_max.  d_filter picks the d of each p (experiments.grid_divisors):
+"all" every d >= 2 dividing p - 1, "proper" or "order>=2" those with
+#G_d >= 2 too, or one integer d.
 """
 
 from __future__ import annotations
@@ -121,10 +109,10 @@ def _plain(obj, stable: bool):
     """obj as a record value: the one conversion of report values to JSON.
 
     Dicts become dicts with str keys and lists and tuples become lists, at
-    any depth; an FpSet becomes its element list and a numpy scalar its
-    .item(); ints, floats, strs, bools and None (subclasses too) stay as
-    they are, and anything else becomes its str.  Under stable
-    the value of every key in _VOLATILE_KEYS, at any depth, becomes 0.
+    any depth; an FpSet becomes its element list; anything else stays as it
+    is, so a value that is not a JSON scalar fails at encoding (a TypeError,
+    exit 2) instead of reaching a record as something it is not.  Under
+    stable the value of every key in _VOLATILE_KEYS, at any depth, becomes 0.
     Members of exact JSON scalar types are kept without a call."""
     if isinstance(obj, dict):
         out = {}
@@ -141,11 +129,7 @@ def _plain(obj, stable: bool):
         return [v if type(v) in _JSON_SCALARS else _plain(v, stable) for v in obj]
     if isinstance(obj, FpSet):
         return obj.elements()
-    if obj is None or isinstance(obj, (int, float, str)):
-        return obj
-    if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
-    return str(obj)
+    return obj
 
 
 def make_record(command: str, seed: int, payload: dict, stable: bool = False) -> dict:
@@ -192,6 +176,12 @@ def parse_target(text: str, p: int | None):
     raise ValueError(f"unknown set family {text!r}")
 
 
+def _status(payload: dict):
+    """A record's status: top level for a search, in extras for the packing
+    harness, None for a record without one."""
+    return payload.get("status", payload.get("extras", {}).get("status"))
+
+
 def _csv_row(rec: dict) -> dict:
     payload = rec["payload"]
     return {
@@ -199,7 +189,7 @@ def _csv_row(rec: dict) -> dict:
         "experiment": payload.get("experiment", payload.get("type", "")),
         "p": payload.get("instance", {}).get("p", ""),
         "d": payload.get("instance", {}).get("d", ""),
-        "status": payload.get("status", payload.get("extras", {}).get("status", "")),
+        "status": _status(payload),  # None is written as an empty field
         "lhs": payload.get("lhs", ""),
         "rhs": payload.get("rhs", ""),
         "ok": payload.get("ok", ""),
@@ -222,11 +212,10 @@ class _Tally:
             self.oks += 1
         elif ok is False:
             self.fails += 1
-        status = payload.get("status") or payload.get("extras", {}).get("status")
+        status = _status(payload)
         if status == "budget_exceeded":
             self.budget += 1
-        # a status key that is present but empty is compared as it is
-        if self.expect and payload.get("status", status) != self.expect:
+        if self.expect and status != self.expect:
             self.missed += 1
 
     def code(self) -> int:
@@ -308,25 +297,15 @@ def _two_sets(args) -> dict:
 
 
 def _limits(source: dict) -> dict:
-    """Search limits from vars(args) or from a sweep config, which takes the
-    flags' names and defaults."""
-    return {
-        "node_budget": source.get("node_budget", DecompQuery.node_budget),
-        "time_budget": source.get("time_budget", DecompQuery.time_budget),
-    }
+    """The search limits of vars(args), a checked sweep config or an
+    instance, as DecompQuery's keyword arguments."""
+    return {"node_budget": source["node_budget"], "time_budget": source["time_budget"]}
 
 
 def _search_target(inst: dict, mode: str, min_size: int):
     """Search the family or literal inst["set"]; the payload echoes the target."""
     target, meta = parse_target(inst["set"], inst["p"])
-    query = DecompQuery(
-        S=target,
-        mode=mode,
-        min_size=min_size,
-        node_budget=inst["node_budget"],
-        time_budget=inst["time_budget"],
-    )
-    report = run_query(query)
+    report = run_query(DecompQuery(S=target, mode=mode, min_size=min_size, **_limits(inst)))
     payload = report.to_dict()
     payload["instance"] = {"p": inst["p"], "set": inst["set"], **meta}
     return payload, meta, report
@@ -344,25 +323,10 @@ def _search_from_args(args) -> dict:
 
 
 def _search_sweep(cfg: dict, seed: int) -> list[dict]:
-    primes = _config_primes(cfg, 3)
-    family = cfg.get("set", "qr")
-    if family not in ("qr", "subgroup"):
-        raise ConfigError(f"search sweep does not support set family {family!r}")
-    mode = cfg.get("mode", "decomposition")
-    if mode not in ("decomposition", "self"):
-        raise ConfigError(f"search sweep does not support mode {mode!r}")
-    common = {
-        "mode": mode,
-        "min_size": cfg.get("min_size", DecompQuery.min_size),
-        "single_op": False,
-        **_limits(cfg),
-    }
-    if family == "qr":
-        return [{"p": p, "set": "qr", **common} for p in primes]
-    return [
-        {"p": pd["p"], "set": f"subgroup:{pd['d']}", **common}
-        for pd in _subgroup_grid(cfg, "proper")
-    ]
+    common = {"mode": cfg["mode"], "min_size": cfg["min_size"], "single_op": False, **_limits(cfg)}
+    if cfg["set"] == "qr":
+        return [{"p": p, "set": "qr", **common} for p in _config_primes(cfg, 3)]
+    return [{"p": pd["p"], "set": f"subgroup:{pd['d']}", **common} for pd in _subgroup_grid(cfg)]
 
 
 def _run_search(inst: dict) -> dict:
@@ -392,12 +356,7 @@ def _run_packing(inst: dict) -> dict:
     """With a set: the raw packing search.  Otherwise the G_d harness."""
     if "set" in inst:
         return _search_target(inst, "packing", 1)[0]
-    return packing_bound_harness(
-        inst["p"],
-        inst["d"],
-        node_budget=inst["node_budget"],
-        time_budget=inst["time_budget"],
-    ).to_dict()
+    return packing_bound_harness(inst["p"], inst["d"], **_limits(inst)).to_dict()
 
 
 def _character(inst: dict) -> Character:
@@ -447,114 +406,140 @@ def _interval_from_args(args) -> dict:
     return {"p": args.prime, "m": meta["m"], "n": meta["n"], "A": a, "B": b}
 
 
-def _subgroup_grid(cfg: dict, d_filter: str, **extra) -> list[dict]:
-    """Every (p, d) of the config; d_filter is the experiment's default."""
+def _subgroup_grid(cfg: dict, **extra) -> list[dict]:
+    """Every (p, d) of a checked config."""
     return [
         {"p": p, "d": d, **extra}
         for p in _config_primes(cfg, 3)
-        for d in experiments.grid_divisors(p, cfg.get("d_filter", d_filter))
+        for d in experiments.grid_divisors(p, cfg["d_filter"])
     ]
 
 
 def _seeded(cfg: dict, seed: int) -> dict:
     """The primes, count and seed arguments of a seeded instance generator."""
-    return {
-        "primes": _config_primes(cfg, 5),
-        "count": _config_int(cfg, "samples", 100),
-        "seed": seed,
-    }
-
-
-def _config_int(cfg: dict, key: str, default: int) -> int:
-    """cfg[key], else default; a ConfigError naming the key unless it is an
-    int >= 1."""
-    value = cfg.get(key, default)
-    if type(value) is not int or value < 1:
-        raise ConfigError(f"config field {key!r} must be an integer >= 1")
-    return value
-
-
-def _config_ms(cfg: dict) -> tuple[int, ...]:
-    """The shift counts m of a shkvyu config: a nonempty list of ints >= 2."""
-    ms = cfg.get("m", [2, 3])
-    if not isinstance(ms, list) or not ms or any(type(m) is not int or m < 2 for m in ms):
-        raise ConfigError("config field 'm' must be a nonempty list of integers >= 2")
-    return tuple(ms)
+    return {"primes": _config_primes(cfg, 5), "count": cfg["samples"], "seed": seed}
 
 
 class Experiment(NamedTuple):
     requires: tuple[str, ...]  # flags a single-op command must be given
     from_args: Callable[[argparse.Namespace], dict]  # single-op flags -> instance
-    sweep: Callable[[dict, int], Iterable[dict]]  # (config, seed) -> instances
+    config: dict  # the sweep config keys it reads beyond _SWEEP_KEYS -> their defaults
+    sweep: Callable[[dict, int], Iterable[dict]]  # (checked config, seed) -> instances
     run: Callable[[dict], dict]  # instance -> payload, for both paths
 
 
+def _one_of(*values: str):
+    """The rule of a key whose value must be one of these strings."""
+    quoted = [f'"{v}"' for v in values]
+    return (lambda v: v in values), ", ".join(quoted[:-1]) + " or " + quoted[-1]
+
+
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+
+# What the value of each sweep config key must be: a test, and the words
+# that end its error line.  bool is a subclass of int, so the tests ask for
+# type(v) is int; NaN fails v > 0.  experiment is checked as a name of
+# EXPERIMENTS and p_range by _config_primes.
+CONFIG_RULES = {
+    **dict.fromkeys(
+        ("samples", "deg_max", "b_max", "size_max", "g_max", "min_size", "node_budget"), _COUNT
+    ),
+    "time_budget": (lambda v: type(v) in (int, float) and v > 0, "a number > 0"),
+    "d_filter": (
+        lambda v: v in ("all", "proper", "order>=2") or (type(v) is int and v >= 1),
+        '"all", "proper", "order>=2" or an integer >= 1',
+    ),
+    "m": (
+        lambda v: type(v) is list and v != [] and all(type(m) is int and m >= 2 for m in v),
+        "a nonempty list of integers >= 2",
+    ),
+    "set": _one_of("qr", "subgroup"),
+    "mode": _one_of("decomposition", "self"),
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "expect": _one_of("found", "exhausted_none", "budget_exceeded"),
+}
+
+# The keys every sweep config takes; p_range has no default.
+_SWEEP_KEYS = {"experiment": None, "p_range": None, "seed": 0}
+_LIMIT_KEYS = {"node_budget": DecompQuery.node_budget, "time_budget": DecompQuery.time_budget}
+_SEEDED_KEYS = {"samples": 100}
+
 # Command order is the order of the usage text.  Report functions are
 # called through lambdas so that they are looked up by module-level name on
-# every call.
+# every call.  Each config dict is the reference for its sweep's keys and
+# defaults; "expect" goes with the two experiments whose records carry a
+# status.
 EXPERIMENTS = {
-    "search": Experiment(("prime", "set"), _search_from_args, _search_sweep, _run_search),
+    "search": Experiment(
+        ("prime", "set"),
+        _search_from_args,
+        {"set": "qr", "mode": "decomposition", "min_size": DecompQuery.min_size,
+         "d_filter": "proper", **_LIMIT_KEYS, "expect": None},
+        _search_sweep,
+        _run_search,
+    ),
     "packing": Experiment(
         ("prime",),
         _packing_from_args,
-        lambda cfg, seed: _subgroup_grid(cfg, "all", **_limits(cfg)),
+        {"d_filter": "all", **_LIMIT_KEYS, "expect": None},
+        lambda cfg, seed: _subgroup_grid(cfg, **_limits(cfg)),
         _run_packing,
     ),
     "weil": Experiment(
         ("prime", "d", "poly"),
         lambda args: {**_character_args(args), "poly": _parse_poly(args.poly)},
-        lambda cfg, seed: experiments.weil_instances(
-            **_seeded(cfg, seed), deg_max=_config_int(cfg, "deg_max", 6)
-        ),
+        {**_SEEDED_KEYS, "deg_max": 6},
+        lambda cfg, seed: experiments.weil_instances(**_seeded(cfg, seed), deg_max=cfg["deg_max"]),
         lambda inst: weil_report(_character(inst), inst["poly"]).to_dict(),
     ),
     "vinogradov": Experiment(
         ("prime", "d"),
         lambda args: {**_character_args(args), **_two_sets(args)},
+        _SEEDED_KEYS,
         lambda cfg, seed: experiments.vinogradov_instances(**_seeded(cfg, seed)),
         lambda inst: vinogradov_check(_character(inst), inst["A"], inst["B"]).to_dict(),
     ),
     "karatsuba": Experiment(
         ("prime", "d"),
         _karatsuba_from_args,
-        lambda cfg, seed: _subgroup_grid(cfg, "all"),
+        {"d_filter": "all"},
+        lambda cfg, seed: _subgroup_grid(cfg),
         _run_karatsuba,
     ),
     "wsum": Experiment(
         ("prime", "d", "set"),
         _b_set_from_args,
-        lambda cfg, seed: experiments.wsum_instances(
-            **_seeded(cfg, seed), b_max=_config_int(cfg, "b_max", 6)
-        ),
+        {**_SEEDED_KEYS, "b_max": 6},
+        lambda cfg, seed: experiments.wsum_instances(**_seeded(cfg, seed), b_max=cfg["b_max"]),
         lambda inst: w_identity_report(inst["p"], inst["d"], inst["B"]).to_dict(),
     ),
     "nsum": Experiment(
         ("prime", "d", "set"),
         _b_set_from_args,
-        lambda cfg, seed: experiments.nsum_instances(
-            **_seeded(cfg, seed), b_max=_config_int(cfg, "b_max", 6)
-        ),
+        {**_SEEDED_KEYS, "b_max": 6},
+        lambda cfg, seed: experiments.nsum_instances(**_seeded(cfg, seed), b_max=cfg["b_max"]),
         lambda inst: n_count_report(inst["p"], inst["d"], inst["B"]).to_dict(),
     ),
     "shkvyu": Experiment(
         ("prime", "d", "shifts"),
         _shkvyu_from_args,
+        {**_SEEDED_KEYS, "g_max": 30, "m": [2, 3]},
         lambda cfg, seed: experiments.shkvyu_instances(
-            **_seeded(cfg, seed),
-            order_cap=_config_int(cfg, "g_max", 30),
-            ms=_config_ms(cfg),
+            **_seeded(cfg, seed), order_cap=cfg["g_max"], ms=cfg["m"]
         ),
         lambda inst: shkvyu_report(inst["p"], inst["d"], inst["shifts"]).to_dict(),
     ),
     "growth": Experiment(
         ("prime", "d"),
         lambda args: {"p": args.prime, "d": args.d},
-        lambda cfg, seed: _subgroup_grid(cfg, "order>=2"),
+        {"d_filter": "order>=2"},
+        lambda cfg, seed: _subgroup_grid(cfg),
         lambda inst: growth_exponent_report(inst["p"], inst["d"]).to_dict(),
     ),
     "interval": Experiment(
         ("prime",),
         _interval_from_args,
+        _SEEDED_KEYS,
         lambda cfg, seed: experiments.interval_instances(**_seeded(cfg, seed)),
         lambda inst: interval_mult_report(
             inst["p"], inst["m"], inst["n"], inst["A"], inst["B"]
@@ -563,8 +548,9 @@ EXPERIMENTS = {
     "bourgain": Experiment(
         ("prime",),
         lambda args: {"p": args.prime, **_two_sets(args)},
+        {**_SEEDED_KEYS, "size_max": 6},
         lambda cfg, seed: experiments.bourgain_instances(
-            **_seeded(cfg, seed), size_max=_config_int(cfg, "size_max", 6)
+            **_seeded(cfg, seed), size_max=cfg["size_max"]
         ),
         lambda inst: bourgain_report(inst["p"], inst["A"], inst["B"]).to_dict(),
     ),
@@ -619,18 +605,31 @@ def _config_primes(cfg: dict, least: int) -> list[int]:
     return primes
 
 
+def _sweep_config(cfg: dict) -> dict:
+    """The config with its experiment's defaults filled in.  A ConfigError
+    names the first key the experiment does not read, or whose value breaks
+    its rule in CONFIG_RULES."""
+    name = cfg["experiment"]
+    if type(name) is not str or name not in EXPERIMENTS:
+        raise ConfigError(f"unknown sweep experiment {name!r}")
+    defaults = {**_SWEEP_KEYS, **EXPERIMENTS[name].config}
+    for key, value in cfg.items():
+        if key not in defaults:
+            raise ConfigError(f"config field {key!r} is not read by a {name} sweep")
+        rule = CONFIG_RULES.get(key)
+        if rule and not rule[0](value):
+            raise ConfigError(f"config field {key!r} must be {rule[1]}")
+    return {**defaults, **cfg}
+
+
 def _cmd_sweep(args):
     """Check the config and expand its grid, raising any config error before
     the first instance runs; return (seed, expect, payloads), where payloads
     yields each instance's payload in grid order as it finishes."""
     _require(args, "config")
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("config field 'seed' must be an integer")
+    cfg = _sweep_config(_load_config(args.config))
+    seed = args.seed if args.seed is not None else cfg["seed"]
     name = cfg["experiment"]
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown sweep experiment {name!r}")
     tasks = [(name, inst) for inst in EXPERIMENTS[name].sweep(cfg, seed)]
     if not tasks:
         raise ConfigError("sweep expanded to an empty grid")

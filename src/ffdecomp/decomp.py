@@ -105,7 +105,8 @@ class DecompQuery:
             raise ValueError(f"unknown mode {mode!r}")
         if min_size < 1:
             raise ValueError("min_size must be >= 1")
-        if node_budget < 1 or time_budget <= 0:
+        # not time_budget > 0, so that a NaN budget is refused: it would set no deadline
+        if node_budget < 1 or not time_budget > 0:
             raise ValueError("budgets must be positive")
         if max_witnesses < 1:
             raise ValueError("max_witnesses must be >= 1")

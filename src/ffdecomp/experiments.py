@@ -15,10 +15,12 @@ import random
 from . import fpcore, polyfp
 from .charsum import Character, double_char_sum, karatsuba_envelope
 from .decomp import DecompQuery, max_packing
-from .errors import BadIndex, ConfigError, DuplicateShift, ZeroSetOnly
+from .errors import BadIndex, DuplicateShift, ZeroSetOnly
 from .fpcore import euler_phi, make_field, subgroup, tau
 from .reports import BoundReport
-from .setalg import FpSet, affine, bits_from, intersect_shifts, iterated_sumset, productset, sumset
+from .setalg import (
+    FpSet, affine, bits_from, check_same, intersect_shifts, iterated_sumset, productset, sumset,
+)
 
 GROWTH_REFERENCE_EXPONENT = 57 / 56
 DEFAULT_SIZE_EPSILON = 0.05
@@ -106,8 +108,7 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
     import numpy as np
 
     sub = _validate_subgroup_args(p, d)
-    if b_set.p != p:
-        raise BadIndex("B lives in a different ambient modulus")
+    check_same(p, b_set)
     if b_set.bits == 0:
         raise ValueError("B must be nonempty")
     b_elems = b_set.elements()
@@ -181,8 +182,7 @@ def n_count_report(p: int, d: int, b_star: FpSet) -> BoundReport:
     import numpy as np
 
     sub = _validate_subgroup_args(p, d)
-    if b_star.p != p:
-        raise BadIndex("B* lives in a different ambient modulus")
+    check_same(p, b_star)
     if b_star.bits == 0:
         raise ValueError("B* must be nonempty")
     b_elems = b_star.elements()
@@ -398,8 +398,7 @@ def interval_mult_report(p: int, m: int, n: int, a: FpSet, b: FpSet) -> BoundRep
     import numpy as np
 
     fpcore.check_modulus(p)
-    if a.p != p or b.p != p:
-        raise BadIndex("sets must share the interval's modulus")
+    check_same(p, a, b)
     if a.bits == 0 or b.bits == 0:
         raise ValueError("A and B must be nonempty")
     if 0 in a or 0 in b:
@@ -450,8 +449,7 @@ def bourgain_report(p: int, a: FpSet, b: FpSet) -> BoundReport:
     """Difference-set growth of the 8-fold sumset of A*B against
     min(#A * #B, p - 1) / 2; constant-free, always asserted."""
     fpcore.check_modulus(p)
-    if a.p != p or b.p != p:
-        raise BadIndex("sets must share the modulus")
+    check_same(p, a, b)
     if a.bits == 0 or b.bits == 0:
         raise ValueError("A and B must be nonempty")
     if a.bits == 1 or b.bits == 1:
@@ -477,20 +475,17 @@ def bourgain_report(p: int, a: FpSet, b: FpSet) -> BoundReport:
 # them from a sweep's p_range) and states no default of its own.
 
 def grid_divisors(p: int, d_filter) -> list[int]:
-    """The indices d a grid takes at p, ascending: for "all" (or None) every
-    d >= 2 dividing p - 1; for "proper" and "order>=2" those with d < p - 1
-    as well (the same filter: for d | p - 1, d < p - 1 exactly when
-    #G_d >= 2); for an integer, d itself when it divides p - 1."""
+    """The indices d a grid takes at p, ascending: for "all" every d >= 2
+    dividing p - 1; for "proper" and "order>=2" those with d < p - 1 as well
+    (the same filter: for d | p - 1, d < p - 1 exactly when #G_d >= 2); for
+    an integer d >= 1, d itself when it divides p - 1.  cli checks a sweep
+    config's d_filter against these forms before any grid expands."""
     divs = fpcore.divisors(p - 1)
-    if d_filter is None or d_filter == "all":
+    if d_filter == "all":
         return [d for d in divs if d >= 2]
     if d_filter in ("proper", "order>=2"):
         return [d for d in divs if 2 <= d < p - 1]
-    try:
-        d = int(d_filter)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad d_filter {d_filter!r}") from None
-    return [d] if d in divs else []
+    return [d_filter] if d_filter in divs else []
 
 
 def _draws(primes: list[int], count: int, seed: int, label: str):

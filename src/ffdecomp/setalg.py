@@ -119,14 +119,17 @@ class FpSet:
         return FpSet(self.p, cyclic_shift(self.bits, t, self.p))
 
 
-def _check_same(a: FpSet, b: FpSet) -> None:
-    if a.p != b.p:
-        raise MixedModulus(f"ambient moduli differ: {a.p} vs {b.p}")
+def check_same(p: int, *sets: FpSet) -> None:
+    """Refuse, with MixedModulus, any of the sets whose ambient modulus is
+    not p: the one check of every operation that takes sets and a modulus."""
+    for s in sets:
+        if s.p != p:
+            raise MixedModulus(f"ambient moduli differ: {p} vs {s.p}")
 
 
 def sumset(a: FpSet, b: FpSet) -> FpSet:
     """A + B = {x + y mod p}; OR of cyclic shifts of the larger operand."""
-    _check_same(a, b)
+    check_same(a.p, b)
     big, small = (a.bits, b.bits) if len(a) >= len(b) else (b.bits, a.bits)
     out = 0
     p = a.p
@@ -143,7 +146,7 @@ def productset(a: FpSet, b: FpSet) -> FpSet:
     """
     from .fpcore import make_field  # fpcore builds its sets with this module
 
-    _check_same(a, b)
+    check_same(a.p, b)
     p = a.p
     fld = make_field(p)
     if a.bits == 0 or b.bits == 0:

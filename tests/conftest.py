@@ -10,6 +10,7 @@ and search machinery it checks.
 import concurrent.futures
 import math
 import random
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -53,6 +54,14 @@ def in_process_pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return pools
+
+
+@contextmanager
+def refused(error: type, message: str):
+    """The block must raise exactly this exception type with this message."""
+    with pytest.raises(error) as info:
+        yield
+    assert (info.type, str(info.value)) == (error, message)
 
 
 def primes_between(lo: int, hi: int) -> list[int]:

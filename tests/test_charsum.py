@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import exact_int, indicator_identity_holds, primes_between
+from conftest import exact_int, indicator_identity_holds, primes_between, refused
 from ffdecomp.charsum import (
     Character,
     RootOfUnityTally,
@@ -21,7 +21,7 @@ from ffdecomp.charsum import (
     vinogradov_check,
     weil_report,
 )
-from ffdecomp.errors import BadIndex, CompositeModulus, ModulusTooLarge
+from ffdecomp.errors import BadIndex, CompositeModulus, MixedModulus, ModulusTooLarge
 from ffdecomp.fpcore import divisors, make_field, primes_up_to
 from ffdecomp.setalg import FpSet
 
@@ -170,6 +170,12 @@ def test_weil_examples():
     assert rep.lhs == pytest.approx(0.0, abs=1e-9)
     assert rep.extras["distinct_roots"] == 1
     assert rep.ok
+    with refused(BadIndex, "Weil comparison needs a non-principal character"):
+        weil_report(Character(7, 2, 0), [0, 1, 1])
+    with refused(ValueError, "F must be nonzero"):
+        weil_report(leg, [0, 7])  # zero mod 7
+    with refused(ValueError, "need deg F < p for the root count"):
+        weil_report(leg, [1, 0, 0, 0, 0, 0, 0, 1])
 
 
 def test_weil_random_admissible():
@@ -206,6 +212,8 @@ def test_double_char_sum_examples_and_oracle():
         tally = double_char_sum(chi, sa, sb)
         assert abs(tally.value() - expected) < 1e-8
         assert tally.total() == len(sa) * len(sb)
+    with refused(MixedModulus, "ambient moduli differ: 7 vs 11"):
+        double_char_sum(leg, a, FpSet.from_elements(11, [3]))
 
 
 def pair_loop_tally(chi, a, b):
@@ -257,6 +265,10 @@ def test_vinogradov_examples():
     one = FpSet.from_elements(7, [1])
     rep = vinogradov_check(leg, one, one)
     assert rep.lhs == pytest.approx(1.0) and rep.ok
+    with refused(BadIndex, "bound needs a non-principal character"):
+        vinogradov_check(Character(7, 2, 0), one, one)
+    with refused(ValueError, "A and B must be nonempty"):
+        vinogradov_check(leg, FpSet(7, 0), one)
 
 
 def test_karatsuba_examples_and_envelope_domination():
@@ -267,6 +279,8 @@ def test_karatsuba_examples_and_envelope_domination():
     assert rep.rhs == pytest.approx(want)
     assert rep.extras["ratio"] == pytest.approx(2.0 / want)
     assert rep.ok is None
+    with refused(BadIndex, "envelope comparison needs a non-principal character"):
+        karatsuba_ratio(Character(7, 2, 0), a, b, 1)
     # with nu = 1 the envelope dominates the constant-free double-sum bound
     rng = random.Random(3)
     for _ in range(100):

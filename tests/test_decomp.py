@@ -272,6 +272,9 @@ def test_query_validation():
         DecompQuery(S=s, mode="decomposition", min_size=0)
     with pytest.raises(ValueError):
         DecompQuery(S=s, mode="decomposition", node_budget=0)
+    # NaN fails no `<= 0` test, and as a deadline it never fires
+    with pytest.raises(ValueError, match="^budgets must be positive$"):
+        DecompQuery(S=s, mode="decomposition", time_budget=float("nan"))
     with pytest.raises(ValueError):
         run_query(DecompQuery(S=FpSet(7, 0), mode="decomposition"))
     with pytest.raises(ValueError):

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from conftest import primes_between
+from conftest import primes_between, refused
 from ffdecomp import experiments
 from ffdecomp.errors import (
     BadIndex,
     CompositeModulus,
-    ConfigError,
     DuplicateShift,
+    MixedModulus,
     ModulusTooLarge,
     ZeroSetOnly,
 )
@@ -55,6 +55,13 @@ def test_w_identity_closed_cases():
     rep = w_identity_report(13, 3, fpset(13, 2))
     assert rep.ok and rep.hypothesis_ok
 
+    with refused(MixedModulus, "ambient moduli differ: 7 vs 11"):
+        w_identity_report(7, 2, fpset(11, 3))
+    with refused(ValueError, "B must be nonempty"):
+        w_identity_report(7, 2, FpSet(7, 0))
+    with refused(ValueError, "#B = 17 too large for the 2**L expansion"):
+        w_identity_report(37, 2, fpset(37, *range(17)))
+
 
 def test_w_identity_direct_count_oracle():
     # W = d * #{u in G_d : u - b not in G_d for all b}
@@ -97,6 +104,10 @@ def test_n_count_examples():
     assert rep.extras["N"] == 3 and rep.ok
     rep = n_count_report(13, 3, fpset(13, 1, 2))
     assert rep.ok
+    with refused(MixedModulus, "ambient moduli differ: 7 vs 11"):
+        n_count_report(7, 2, fpset(11, 3))
+    with refused(ValueError, "B* must be nonempty"):
+        n_count_report(7, 2, FpSet(7, 0))
     # direct count oracle
     rng = random.Random(23)
     for _ in range(30):
@@ -322,6 +333,10 @@ def test_interval_examples():
     assert rep.ok  # direct and frequency-side counts agree
     with pytest.raises(ValueError):
         interval_mult_report(7, 0, 3, fpset(7, 0, 1), fpset(7, 1))
+    with refused(MixedModulus, "ambient moduli differ: 7 vs 11"):
+        interval_mult_report(7, 0, 3, fpset(7, 1), fpset(11, 1))
+    with refused(ValueError, "A and B must be nonempty"):
+        interval_mult_report(7, 0, 3, FpSet(7, 0), fpset(7, 1))
 
 
 def test_interval_set():
@@ -341,18 +356,20 @@ def test_bourgain_examples():
     assert rep.lhs > 2 and rep.ok
     with pytest.raises(ZeroSetOnly):
         bourgain_report(7, fpset(7, 0), fpset(7, 1, 2))
-    with pytest.raises(ValueError):
+    with refused(ValueError, "A and B must be nonempty"):
         bourgain_report(7, FpSet(7, 0), fpset(7, 1))
+    with refused(MixedModulus, "ambient moduli differ: 7 vs 11"):
+        bourgain_report(7, fpset(11, 1, 2), fpset(7, 1, 2))
 
 
 def test_grid_divisors():
-    assert grid_divisors(13, "all") == grid_divisors(13, None) == [2, 3, 4, 6, 12]
+    # a d_filter of None or "bogus" is refused by the sweep config check,
+    # before any grid expands (tests/test_cli.py::test_sweep_config_errors)
+    assert grid_divisors(13, "all") == [2, 3, 4, 6, 12]
     assert grid_divisors(13, "proper") == grid_divisors(13, "order>=2") == [2, 3, 4, 6]
     assert grid_divisors(13, 3) == [3] and grid_divisors(13, 1) == [1]
     assert grid_divisors(13, 5) == []
     assert grid_divisors(3, "all") == [2] and grid_divisors(3, "proper") == []
-    with pytest.raises(ConfigError):
-        grid_divisors(13, "bogus")
 
 
 def test_instance_generators_state_no_defaults():
