@@ -27,16 +27,20 @@ node counts), so reruns and different worker counts are byte-comparable
 after the canonical ordering the commands already emit.
 
 One parser serves every command: the command is its one positional
-argument, every command takes the same flags (before or after it), and only
-sweep accepts --config.
+argument, and flags may come before or after it.  A command takes only the
+flags it reads.  The parser holds no defaults, so parse_args sees which
+flags were given: it refuses the first one (in parser order) that the
+command does not read, then a missing required one, and fills in the rest
+from the command's table.  --out, --format, --stable, --seed, --cache-dir
+and --workers go with every command (_COMMON_FLAGS).
 
 Each experiment is wired once, in EXPERIMENTS, keyed by command name:
-the flags it requires, how its flags become one instance dict, the sweep
-config keys it reads with their defaults, how a checked sweep config and
-seed become a list of instance dicts, and run(instance) -> payload, which
-both paths share.  A single-op command emits
-run(from_args(args)) in this process; sweep maps run over its grid, sending
-(name, instance) pairs to the worker pool.
+the flags it reads with their defaults, how its flags become one instance
+dict, the sweep config keys it reads with their defaults, how a checked
+sweep config and seed become a list of instance dicts, and
+run(instance) -> payload, which both paths share.  A single-op command
+emits run(from_args(args)) in this process; sweep maps run over its grid,
+sending (name, instance) pairs to the worker pool.
 
 A sweep config is a JSON object with "experiment" and "p_range" [lo, hi];
 "seed" (else 0; --seed wins) is optional.  A grid takes every prime p >= 3
@@ -257,12 +261,6 @@ def _write(records: Iterable[dict], args, tally: _Tally) -> None:
 # ---------------------------------------------------------------------------
 # experiments: instances from flags or from a sweep config, and one runner
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for this command")
-
-
 def _attach_family_bounds(payload, meta, p, report):
     family = meta.get("family")
     extras = payload.setdefault("extras", {})
@@ -281,18 +279,24 @@ def _attach_family_bounds(payload, meta, p, report):
     return payload
 
 
-def _parse_poly(text: str) -> list[int]:
+def _int_list(text: str, what: str, form: str) -> list[int]:
+    """A comma-separated --poly or --shifts value as ints."""
     try:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise ValueError(f"bad polynomial literal {text!r}: expected c0,c1,...") from None
+        raise ValueError(f"bad {what} {text!r}: expected {form}") from None
+
+
+def _sets(args, *roles: str) -> list[str]:
+    """The --set values, refused unless there is exactly one per role."""
+    if len(args.set or ()) != len(roles):
+        times = ("once", "twice", "three times")[len(roles) - 1]
+        raise ValueError(f"give --set {times}: {' then '.join(roles)}")
+    return args.set
 
 
 def _two_sets(args) -> dict:
-    if not args.set or len(args.set) != 2:
-        raise ValueError("give --set twice: A then B")
-    a, _ = parse_target(args.set[0], args.prime)
-    b, _ = parse_target(args.set[1], args.prime)
+    a, b = (parse_target(text, args.prime)[0] for text in _sets(args, "A", "B"))
     return {"A": a, "B": b}
 
 
@@ -314,7 +318,7 @@ def _search_target(inst: dict, mode: str, min_size: int):
 def _search_from_args(args) -> dict:
     return {
         "p": args.prime,
-        "set": args.set[0],
+        "set": _sets(args, "S")[0],
         "mode": args.mode,
         "min_size": args.min_size,
         "single_op": True,
@@ -343,13 +347,13 @@ def _run_search(inst: dict) -> dict:
 
 
 def _packing_from_args(args) -> dict:
-    inst = {"p": args.prime, **_limits(vars(args))}
-    if args.set:
-        inst["set"] = args.set[0]
-    else:
-        _require(args, "d")
-        inst["d"] = args.d
-    return inst
+    """A packing of --set, or the G_d harness of --d: one of the two."""
+    if args.set and args.d is not None:
+        raise ValueError("--d is not read by packing with --set")
+    if not args.set and args.d is None:
+        raise ValueError("--d is required for this command")
+    target = {"set": _sets(args, "S")[0]} if args.set else {"d": args.d}
+    return {"p": args.prime, **_limits(vars(args)), **target}
 
 
 def _run_packing(inst: dict) -> dict:
@@ -365,7 +369,7 @@ def _character(inst: dict) -> Character:
 
 def _character_args(args) -> dict:
     """--prime, --d and --j, checked as a character before any other flag."""
-    inst = {"p": args.prime, "d": args.d, "j": args.j if args.j is not None else 1}
+    inst = {"p": args.prime, "d": args.d, "j": args.j}
     _character(inst)
     return inst
 
@@ -373,7 +377,9 @@ def _character_args(args) -> dict:
 def _karatsuba_from_args(args) -> dict:
     inst = _character_args(args)
     if args.set:
-        inst.update(_two_sets(args), nu=args.nu if args.nu is not None else 1)
+        inst.update(_two_sets(args), nu=args.nu)
+    elif "nu" in args.given:
+        raise ValueError("--nu is not read by karatsuba without --set")
     return inst
 
 
@@ -385,24 +391,22 @@ def _run_karatsuba(inst: dict) -> dict:
 
 
 def _b_set_from_args(args) -> dict:
-    return {"p": args.prime, "d": args.d, "B": parse_target(args.set[0], args.prime)[0]}
+    return {"p": args.prime, "d": args.d, "B": parse_target(_sets(args, "B")[0], args.prime)[0]}
 
 
 def _shkvyu_from_args(args) -> dict:
-    shifts = [int(tok) for tok in args.shifts.split(",")]
+    shifts = _int_list(args.shifts, "shift list", "s1,s2,...")
     if args.m is not None and args.m != len(shifts):
         raise ValueError(f"--m {args.m} disagrees with {len(shifts)} shifts")
     return {"p": args.prime, "d": args.d, "shifts": shifts}
 
 
 def _interval_from_args(args) -> dict:
-    if not args.set or len(args.set) != 3:
-        raise ValueError("give --set three times: interval:m,n then A then B")
-    _, meta = parse_target(args.set[0], args.prime)
+    interval, *sets = _sets(args, "interval:m,n", "A", "B")
+    _, meta = parse_target(interval, args.prime)
     if meta.get("family") != "interval":
         raise ValueError("first --set must be an interval:m,n family")
-    a, _ = parse_target(args.set[1], args.prime)
-    b, _ = parse_target(args.set[2], args.prime)
+    a, b = (parse_target(text, args.prime)[0] for text in sets)
     return {"p": args.prime, "m": meta["m"], "n": meta["n"], "A": a, "B": b}
 
 
@@ -421,8 +425,8 @@ def _seeded(cfg: dict, seed: int) -> dict:
 
 
 class Experiment(NamedTuple):
-    requires: tuple[str, ...]  # flags a single-op command must be given
-    from_args: Callable[[argparse.Namespace], dict]  # single-op flags -> instance
+    flags: dict  # the flags its single-op command reads -> their defaults
+    from_args: Callable[[argparse.Namespace], dict]  # parse_args's namespace -> instance
     config: dict  # the sweep config keys it reads beyond _SWEEP_KEYS -> their defaults
     sweep: Callable[[dict, int], Iterable[dict]]  # (checked config, seed) -> instances
     run: Callable[[dict], dict]  # instance -> payload, for both paths
@@ -462,66 +466,74 @@ CONFIG_RULES = {
 # The keys every sweep config takes; p_range has no default.
 _SWEEP_KEYS = {"experiment": None, "p_range": None, "seed": 0}
 _LIMIT_KEYS = {"node_budget": DecompQuery.node_budget, "time_budget": DecompQuery.time_budget}
+_SEARCH_KEYS = {"mode": "decomposition", "min_size": DecompQuery.min_size, **_LIMIT_KEYS}
 _SEEDED_KEYS = {"samples": 100}
+
+# The default of a flag that must be given.
+_REQUIRED = object()
+# The flags every command takes, and the one flag of sweep.
+_COMMON_FLAGS = dict(out=None, format="jsonl", stable=False, seed=None, cache_dir=None, workers=1)
+_SWEEP_FLAGS = {"config": _REQUIRED}
 
 # Command order is the order of the usage text.  Report functions are
 # called through lambdas so that they are looked up by module-level name on
-# every call.  Each config dict is the reference for its sweep's keys and
-# defaults; "expect" goes with the two experiments whose records carry a
-# status.
+# every call.  Each flags dict is the reference for its command's flags and
+# defaults (None: optional, read only if given), and each config dict for
+# its sweep's keys and defaults; "expect" goes with the two experiments
+# whose records carry a status.
 EXPERIMENTS = {
     "search": Experiment(
-        ("prime", "set"),
+        {"prime": _REQUIRED, "set": _REQUIRED, **_SEARCH_KEYS},
         _search_from_args,
-        {"set": "qr", "mode": "decomposition", "min_size": DecompQuery.min_size,
-         "d_filter": "proper", **_LIMIT_KEYS, "expect": None},
+        {"set": "qr", **_SEARCH_KEYS, "d_filter": "proper", "expect": None},
         _search_sweep,
         _run_search,
     ),
     "packing": Experiment(
-        ("prime",),
+        {"prime": _REQUIRED, "set": None, "d": None, **_LIMIT_KEYS},
         _packing_from_args,
         {"d_filter": "all", **_LIMIT_KEYS, "expect": None},
         lambda cfg, seed: _subgroup_grid(cfg, **_limits(cfg)),
         _run_packing,
     ),
     "weil": Experiment(
-        ("prime", "d", "poly"),
-        lambda args: {**_character_args(args), "poly": _parse_poly(args.poly)},
+        {"prime": _REQUIRED, "d": _REQUIRED, "j": 1, "poly": _REQUIRED},
+        lambda args: {**_character_args(args),
+                      "poly": _int_list(args.poly, "polynomial literal", "c0,c1,...")},
         {**_SEEDED_KEYS, "deg_max": 6},
         lambda cfg, seed: experiments.weil_instances(**_seeded(cfg, seed), deg_max=cfg["deg_max"]),
         lambda inst: weil_report(_character(inst), inst["poly"]).to_dict(),
     ),
     "vinogradov": Experiment(
-        ("prime", "d"),
+        {"prime": _REQUIRED, "d": _REQUIRED, "j": 1, "set": None},
         lambda args: {**_character_args(args), **_two_sets(args)},
         _SEEDED_KEYS,
         lambda cfg, seed: experiments.vinogradov_instances(**_seeded(cfg, seed)),
         lambda inst: vinogradov_check(_character(inst), inst["A"], inst["B"]).to_dict(),
     ),
     "karatsuba": Experiment(
-        ("prime", "d"),
+        {"prime": _REQUIRED, "d": _REQUIRED, "j": 1, "set": None, "nu": 1},
         _karatsuba_from_args,
         {"d_filter": "all"},
         lambda cfg, seed: _subgroup_grid(cfg),
         _run_karatsuba,
     ),
     "wsum": Experiment(
-        ("prime", "d", "set"),
+        {"prime": _REQUIRED, "d": _REQUIRED, "set": _REQUIRED},
         _b_set_from_args,
         {**_SEEDED_KEYS, "b_max": 6},
         lambda cfg, seed: experiments.wsum_instances(**_seeded(cfg, seed), b_max=cfg["b_max"]),
         lambda inst: w_identity_report(inst["p"], inst["d"], inst["B"]).to_dict(),
     ),
     "nsum": Experiment(
-        ("prime", "d", "set"),
+        {"prime": _REQUIRED, "d": _REQUIRED, "set": _REQUIRED},
         _b_set_from_args,
         {**_SEEDED_KEYS, "b_max": 6},
         lambda cfg, seed: experiments.nsum_instances(**_seeded(cfg, seed), b_max=cfg["b_max"]),
         lambda inst: n_count_report(inst["p"], inst["d"], inst["B"]).to_dict(),
     ),
     "shkvyu": Experiment(
-        ("prime", "d", "shifts"),
+        {"prime": _REQUIRED, "d": _REQUIRED, "shifts": _REQUIRED, "m": None},
         _shkvyu_from_args,
         {**_SEEDED_KEYS, "g_max": 30, "m": [2, 3]},
         lambda cfg, seed: experiments.shkvyu_instances(
@@ -530,14 +542,14 @@ EXPERIMENTS = {
         lambda inst: shkvyu_report(inst["p"], inst["d"], inst["shifts"]).to_dict(),
     ),
     "growth": Experiment(
-        ("prime", "d"),
+        {"prime": _REQUIRED, "d": _REQUIRED},
         lambda args: {"p": args.prime, "d": args.d},
         {"d_filter": "order>=2"},
         lambda cfg, seed: _subgroup_grid(cfg),
         lambda inst: growth_exponent_report(inst["p"], inst["d"]).to_dict(),
     ),
     "interval": Experiment(
-        ("prime",),
+        {"prime": _REQUIRED, "set": None},
         _interval_from_args,
         _SEEDED_KEYS,
         lambda cfg, seed: experiments.interval_instances(**_seeded(cfg, seed)),
@@ -546,7 +558,7 @@ EXPERIMENTS = {
         ).to_dict(),
     ),
     "bourgain": Experiment(
-        ("prime",),
+        {"prime": _REQUIRED, "set": None},
         lambda args: {"p": args.prime, **_two_sets(args)},
         {**_SEEDED_KEYS, "size_max": 6},
         lambda cfg, seed: experiments.bourgain_instances(
@@ -592,7 +604,7 @@ def _config_primes(cfg: dict, least: int) -> list[int]:
     if (
         not isinstance(rng, list)
         or len(rng) != 2
-        or not all(isinstance(x, int) for x in rng)
+        or not all(type(x) is int for x in rng)
     ):
         raise ConfigError("config field 'p_range' must be [lo, hi]")
     lo, hi = rng
@@ -619,14 +631,17 @@ def _sweep_config(cfg: dict) -> dict:
         rule = CONFIG_RULES.get(key)
         if rule and not rule[0](value):
             raise ConfigError(f"config field {key!r} must be {rule[1]}")
-    return {**defaults, **cfg}
+    checked = {**defaults, **cfg}
+    if name == "search" and checked["set"] == "qr" and "d_filter" in cfg:
+        # a QR grid takes every prime; only a subgroup grid picks d
+        raise ConfigError('config field \'d_filter\' is not read by a search sweep with set "qr"')
+    return checked
 
 
 def _cmd_sweep(args):
     """Check the config and expand its grid, raising any config error before
     the first instance runs; return (seed, expect, payloads), where payloads
     yields each instance's payload in grid order as it finishes."""
-    _require(args, "config")
     cfg = _sweep_config(_load_config(args.config))
     seed = args.seed if args.seed is not None else cfg["seed"]
     name = cfg["experiment"]
@@ -660,11 +675,13 @@ def _sweep_payloads(tasks: list, workers: int):
 # argument parsing and dispatch
 
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command: each takes the same flags, and only
-    sweep reads --config, which run refuses on the other commands."""
+    """One parser for every command and flag.  It holds no defaults, so its
+    namespace has only the flags given; parse_args checks them against the
+    command's table and fills in the rest from it."""
     parser = argparse.ArgumentParser(
         prog="ffdecomp",
         description="additive decompositions of multiplicative structures mod p",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=[*EXPERIMENTS, "sweep"])
     parser.add_argument("--prime", type=int, help="prime modulus p")
@@ -680,13 +697,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shifts", help="comma-separated shift list")
     parser.add_argument("--nu", type=int, help="envelope exponent parameter")
     parser.add_argument("--poly", help="polynomial coefficients c0,c1,... low to high")
-    parser.add_argument("--min-size", type=int, default=DecompQuery.min_size)
-    parser.add_argument("--node-budget", type=int, default=DecompQuery.node_budget)
-    parser.add_argument("--time-budget", type=float, default=DecompQuery.time_budget)
+    parser.add_argument("--min-size", type=int)
+    parser.add_argument("--node-budget", type=int)
+    parser.add_argument("--time-budget", type=float)
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
         help="processes for a sweep's instances; a single-op command runs in one process",
     )
     parser.add_argument(
@@ -694,41 +710,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", help="write records to this file instead of stdout")
     parser.add_argument("--cache-dir", dest="cache_dir", help="field table cache directory")
-    parser.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    parser.add_argument("--format", choices=["jsonl", "csv"])
     parser.add_argument(
         "--stable",
         action="store_true",
         help="zero volatile fields (timestamps, elapsed, node counts) in records",
     )
-    parser.add_argument("--mode", choices=["decomposition", "self"], default="decomposition")
-    parser.add_argument("--config", help="sweep configuration JSON file (sweep only)")
+    parser.add_argument("--mode", choices=["decomposition", "self"])
+    parser.add_argument("--config", help="the sweep's configuration, a JSON file")
     return parser
 
 
-def run(argv) -> int:
+def parse_args(argv) -> argparse.Namespace:
+    """The namespace of one command line: every flag its command reads, the
+    given value or the default of its table, and given, the set of flags
+    given.  A ValueError, before anything runs, names the first flag given
+    that the command does not read, else the first required flag missing,
+    else a --workers below 1."""
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.config is not None and args.command != "sweep":
-            parser.error(f"--config is only for sweep, not {args.command}")
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    given = vars(parser.parse_args(argv))
+    name = given.pop("command")
+    flags = _SWEEP_FLAGS if name == "sweep" else EXPERIMENTS[name].flags
+    for action in parser._actions:
+        if action.dest in given and action.dest not in flags and action.dest not in _COMMON_FLAGS:
+            raise ValueError(f"{action.option_strings[0]} is not read by {name}")
+    for flag, default in flags.items():
+        if default is _REQUIRED and flag not in given:
+            raise ValueError(f"--{flag.replace('_', '-')} is required for this command")
+    if given.get("workers", 1) < 1:
+        raise ValueError(f"--workers must be >= 1, got {given['workers']}")
+    return argparse.Namespace(command=name, given=set(given), **{**_COMMON_FLAGS, **flags, **given})
+
+
+def run(argv) -> int:
     saved_cache_dir = os.environ.get("FFDECOMP_CACHE_DIR")
-    if args.cache_dir:
-        # through the environment, so that a sweep's pool workers see it too
-        os.environ["FFDECOMP_CACHE_DIR"] = args.cache_dir
     try:
+        args = parse_args(argv)
+        if args.cache_dir:
+            # through the environment, so that a sweep's pool workers see it too
+            os.environ["FFDECOMP_CACHE_DIR"] = args.cache_dir
         if args.command == "sweep":
             seed, expect, payloads = _cmd_sweep(args)
         else:
             # a single-op command is a stream of one record
             experiment = EXPERIMENTS[args.command]
-            _require(args, *experiment.requires)
             seed, expect = args.seed or 0, None
             payloads = [experiment.run(experiment.from_args(args))]
         tally = _Tally(expect)
         records = (make_record(args.command, seed, p, args.stable) for p in payloads)
         _write(records, args, tally)
+    except SystemExit as exc:  # argparse's usage errors, and --help
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (FFDecompError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -138,7 +138,45 @@ def test_one_parser_serves_every_command(tmp_path, capsys):
         assert run([name, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE, name
         captured = capsys.readouterr()
         assert not out.exists() and captured.out == "", name
-        assert f"error: --config is only for sweep, not {name}\n" in captured.err
+        assert f"error: --config is not read by {name}\n" in captured.err
+
+
+# Per command: an accepted command line, flags it does not read, and the
+# flag its refusal names, the first of them in parser order.
+UNREAD_FLAGS = [
+    (["search", "--set", "qr", "--prime", "13"], ["--d", "5", "--poly", "1,2"], "--d"),
+    (["packing", "--prime", "13", "--d", "3"], ["--min-size", "2"], "--min-size"),
+    (["weil", "--prime", "7", "--d", "2", "--poly", "0,1,1"], ["--nu", "2"], "--nu"),
+    (["vinogradov", "--prime", "7", "--d", "2", "--set", "7:{1,2}", "--set", "7:{3,4}"],
+     ["--poly", "1,2"], "--poly"),
+    (["karatsuba", "--prime", "13", "--d", "3"], ["--m", "2"], "--m"),
+    (["wsum", "--prime", "7", "--d", "2", "--set", "7:{3,5}"], ["--j", "1"], "--j"),
+    (["nsum", "--prime", "7", "--d", "2", "--set", "7:{3}"], ["--shifts", "1,2"], "--shifts"),
+    (["shkvyu", "--prime", "61", "--d", "15", "--shifts", "1,2"], ["--set", "qr"], "--set"),
+    (["growth", "--prime", "13", "--d", "3"],
+     ["--mode", "self", "--node-budget", "1", "--shifts", "1,2"], "--shifts"),
+    (["interval", "--prime", "7", "--set", "interval:0,6", "--set", "7:{1,6}", "--set", "7:{1,2,3}"],
+     ["--time-budget", "1"], "--time-budget"),
+    (["bourgain", "--prime", "31", "--set", "31:{1,2}", "--set", "31:{1,3}"], ["--d", "2"], "--d"),
+    (["sweep"], ["--prime", "13"], "--prime"),  # the test adds --config
+]
+
+
+@pytest.mark.parametrize("argv, unread, flag", UNREAD_FLAGS, ids=[a[0] for a, *_ in UNREAD_FLAGS])
+def test_a_flag_the_command_does_not_read_is_refused(argv, unread, flag, tmp_path, capsys):
+    assert [a[0] for a, *_ in UNREAD_FLAGS] == [*cli.EXPERIMENTS, "sweep"]
+    if argv == ["sweep"]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "growth", "p_range": [5, 7]}))
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "out.jsonl"
+    assert run(argv + unread + ["--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} is not read by {argv[0]}\n"
+    assert captured.out == "" and not out.exists()
+    assert run(argv + ["--out", str(out)]) == EXIT_OK  # accepted without them
+    capsys.readouterr()
+    assert out.exists()
 
 
 class _FullAfter:
@@ -394,6 +432,7 @@ def test_sweep_config_errors(tmp_path, capsys):
     m_error = "'m' must be a nonempty list of integers >= 2"
     d_filter_error = '\'d_filter\' must be "all", "proper", "order>=2" or an integer >= 1'
     budget_error = "'time_budget' must be a number > 0"
+    qr_d_filter_error = '\'d_filter\' is not read by a search sweep with set "qr"'
     bad_counts = [  # (experiment, config keys, the error line after "config field ")
         ("shkvyu", {"p_range": [5, 7], "samples": 2, "m": [2, 1]}, m_error),
         ("shkvyu", {"p_range": [5, 7], "m": 2}, m_error),
@@ -423,6 +462,10 @@ def test_sweep_config_errors(tmp_path, capsys):
         ("search", {"p_range": [5, 7], "set": "primroots"}, '\'set\' must be "qr" or "subgroup"'),
         ("vinogradov", {"p_range": [5, 7], "seed": True}, "'seed' must be an integer"),
         ("vinogradov", {"p_range": [5]}, "'p_range' must be [lo, hi]"),
+        ("growth", {"p_range": [True, 13]}, "'p_range' must be [lo, hi]"),
+        # only a subgroup grid picks d; set "qr" is the default
+        ("search", {"set": "qr", "p_range": [5, 13], "d_filter": 5}, qr_d_filter_error),
+        ("search", {"p_range": [5, 13], "d_filter": "all"}, qr_d_filter_error),
     ]
     for i, (name, extra, message) in enumerate(bad_counts):
         cfg = tmp_path / f"count{i}.json"
@@ -841,7 +884,23 @@ def test_usage_and_config_errors_create_no_out_file(tmp_path, capsys):
           "--nu", "0"], "nu must be >= 1, got 0"),
         (weil, "--poly is required for this command"),
         (weil + ["--poly", "1,x"], "bad polynomial literal '1,x': expected c0,c1,..."),
+        (["shkvyu", "--prime", "61", "--d", "15", "--shifts", "1,,2"],
+         "bad shift list '1,,2': expected s1,s2,..."),
         (["vinogradov", "--prime", "7", "--d", "2", "--set", "7:{1}"], "give --set twice: A then B"),
+        # flags read only with or without another one
+        (["packing", "--prime", "13", "--d", "3", "--set", "qr"], "--d is not read by packing with --set"),
+        (["packing", "--prime", "13"], "--d is required for this command"),
+        (["karatsuba", "--prime", "13", "--d", "3", "--nu", "2"],
+         "--nu is not read by karatsuba without --set"),
+        (["search", "--set", "qr", "--set", "subgroup:3", "--prime", "13"], "give --set once: S"),
+        (["packing", "--prime", "13", "--set", "qr", "--set", "qr"], "give --set once: S"),
+        (["wsum", "--prime", "7", "--d", "2", "--set", "7:{3}", "--set", "7:{5}"],
+         "give --set once: B"),
+        (["nsum", "--prime", "7", "--d", "2"], "--set is required for this command"),
+        (["sweep"], "--config is required for this command"),
+        (["sweep", "--config", str(tmp_path / "bad.json"), "--workers", "0"],
+         "--workers must be >= 1, got 0"),
+        (["growth", "--prime", "13", "--d", "3", "--workers", "-4"], "--workers must be >= 1, got -4"),
         (interval + ["interval:0,6"], "give --set three times: interval:m,n then A then B"),
         (interval + ["qr", "--set", "7:{1}", "--set", "7:{2}"],
          "first --set must be an interval:m,n family"),
@@ -979,7 +1038,7 @@ def test_single_op_bytes_match_the_collecting_writer(capsys):
         ["packing", "--prime", "13", "--set", "qr"],
     ]
     for argv in cases:
-        args = build_parser().parse_args(argv)
+        args = cli.parse_args(argv)
         experiment = cli.EXPERIMENTS[args.command]
         payloads = oracle_payloads(args.command, [experiment.from_args(args)])
         for fmt in ("jsonl", "csv"):
