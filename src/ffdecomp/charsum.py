@@ -76,12 +76,11 @@ class RootOfUnityTally:
 
     def value(self) -> complex:
         d = self.d
-        if d == 1:
-            return complex(self.counts[0])
         if d == 2:
             return complex(self.counts[0] - self.counts[1])
+        # start at 0j: with every count zero the sum is still a complex
         return sum(
-            c * cmath.exp(2j * cmath.pi * r / d) for r, c in enumerate(self.counts) if c
+            (c * cmath.exp(2j * cmath.pi * r / d) for r, c in enumerate(self.counts) if c), 0j
         )
 
     def magnitude(self) -> float:
@@ -218,10 +217,12 @@ def karatsuba_ratio(chi: Character, a: FpSet, b: FpSet, nu: int) -> BoundReport:
         raise BadIndex("envelope comparison needs a non-principal character")
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
+    if a.bits == 0 or b.bits == 0:
+        raise ValueError("A and B must be nonempty")
     p = chi.p
     lhs = double_char_sum(chi, a, b).magnitude()
     envelope = karatsuba_envelope(p, len(a), len(b), nu)
-    ratio = lhs / envelope if envelope > 0 else 0.0
+    ratio = lhs / envelope  # positive: #A, #B >= 1
     return BoundReport(
         experiment="karatsuba",
         instance={"p": p, "d": chi.d, "j": chi.j, "A": a, "B": b, "nu": nu},

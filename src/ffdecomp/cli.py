@@ -165,17 +165,14 @@ def parse_target(text: str, p: int | None):
     if text == "qr":
         return fpcore.subgroup(p, 2), {"family": "qr", "d": 2}
     if text.startswith("subgroup:"):
-        d = int(text.split(":", 1)[1])
+        (d,) = _int_list(text, "set", "subgroup:d")
         return fpcore.subgroup(p, d), {"family": "subgroup", "d": d}
     if text == "primroots":
         fpcore.check_modulus(p)
         roots = [x for k, x in enumerate(fpcore.powers(p, 1)) if math.gcd(k, p - 1) == 1]
         return FpSet(p, bits_from(roots, p)), {"family": "primroots"}
     if text.startswith("interval:"):
-        parts = text.split(":", 1)[1].split(",")
-        if len(parts) != 2:
-            raise ValueError("interval family is interval:m,n")
-        m, n = int(parts[0]), int(parts[1])
+        m, n = _int_list(text, "set", "interval:m,n")
         return interval_set(p, m, n), {"family": "interval", "m": m, "n": n}
     raise ValueError(f"unknown set family {text!r}")
 
@@ -280,11 +277,17 @@ def _attach_family_bounds(payload, meta, p, report):
 
 
 def _int_list(text: str, what: str, form: str) -> list[int]:
-    """A comma-separated --poly or --shifts value as ints."""
+    """A comma-separated --poly or --shifts value as ints, or the arguments
+    of a set family whose form is family:args, such as interval:m,n: the
+    ints after the colon, exactly as many as the form names."""
+    family, colon, names = form.rpartition(":")
     try:
-        return [int(tok) for tok in text.split(",")]
+        values = [int(tok) for tok in text[len(family + colon):].split(",")]
     except ValueError:
-        raise ValueError(f"bad {what} {text!r}: expected {form}") from None
+        values = None
+    if values is None or (colon and len(values) != len(names.split(","))):
+        raise ValueError(f"bad {what} {text!r}: expected {form}")
+    return values
 
 
 def _sets(args, *roles: str) -> list[str]:

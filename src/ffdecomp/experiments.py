@@ -97,14 +97,15 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
     """Three-way evaluation of the avoiding-count sum W over B.
 
     W counts x in F_p^* whose d-th power avoids G_d in every translate by B.
-    Routes: (i) direct membership, (ii) complex character expansion,
-    (iii) the exact main-term + remainder formula.  Route (iii) matches the
+    Routes: (i) set algebra: u in G_d avoids every G_d + b exactly when it
+    is outside the sumset G_d + B, and each u has d preimages x, so
+    W = d * #(G_d minus (G_d + B)); (ii) complex character expansion;
+    (iii) the main-term + remainder formula as one integer over d**L,
+    L = #B, divided once for each recorded float.  Route (iii) matches the
     others exactly only when no element of B is itself a d-th power (no
     translate can then hit zero); that condition is reported as
     hypothesis_ok and route (iii) is asserted only under it.
     """
-    from fractions import Fraction  # imported here: no other command builds one
-
     import numpy as np
 
     sub = _validate_subgroup_args(p, d)
@@ -118,11 +119,7 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
     g_bits = sub.bits
 
     # (i) direct: each coset representative u has exactly d preimages x
-    count = 0
-    for u in sub:
-        if all(not (g_bits >> ((u - b) % p)) & 1 for b in b_elems):
-            count += 1
-    w_direct = d * count
+    w_direct = d * (g_bits & ~sumset(sub, b_set).bits).bit_count()
 
     # (ii) full character expansion in complex arithmetic
     factors = np.ones(p - 1, dtype=complex)
@@ -130,13 +127,15 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
         factors *= 1 - inner / d
     w_char = complex(factors.sum())
 
-    # (iii) exact main term plus remainder, via the nonprincipal sums
+    # (iii) main term plus remainder as integers over scale, via the
+    # nonprincipal sums
     # star(v) = d*[v in G_d] - 1 for v != 0 and 0 for v = 0
     star = [0] * p
     for v in range(1, p):
         star[v] = d - 1 if (g_bits >> v) & 1 else -1
     u_elems = sub.elements()
-    remainder = Fraction(0)
+    scale = d**length
+    remainder = 0
     for ell in range(1, length + 1):
         sign = -1 if ell % 2 else 1
         weight = (d - 1) ** (length - ell)
@@ -149,36 +148,37 @@ def w_identity_report(p: int, d: int, b_set: FpSet) -> BoundReport:
                     if prod == 0:
                         break
                 subset_total += prod
-        remainder += sign * weight * Fraction(subset_total, d**length)
-    main = Fraction((p - 1) * (d - 1) ** length, d**length)
-    w_formula = main + remainder
+        remainder += sign * weight * subset_total
+    w_formula = (p - 1) * (d - 1) ** length + remainder
 
     collision_free = (b_set.bits & g_bits) == 0
     tol = 1e-6 * (p * 2**length)
     agree_direct_char = abs(w_char - w_direct) <= tol
-    agree_formula = w_formula == w_direct
+    agree_formula = w_formula == w_direct * scale
     ok = agree_direct_char and (agree_formula or not collision_free)
+    # int / int is correctly rounded: each float is the one nearest the ratio
     return BoundReport(
         experiment="wsum",
         instance={"p": p, "d": d, "B": b_set},
         lhs=float(w_direct),
-        rhs=float(w_formula),
+        rhs=w_formula / scale,
         hypothesis_ok=collision_free,
         ok=ok,
         tolerance=tol,
         extras={
             "W": w_direct,
-            "R": float(remainder),
+            "R": remainder / scale,
             "W_vanishes": w_direct == 0,
             "char_route": [w_char.real, w_char.imag],
-            "formula_gap": float(Fraction(w_direct) - w_formula),
+            "formula_gap": (w_direct * scale - w_formula) / scale,
         },
     )
 
 
 def n_count_report(p: int, d: int, b_star: FpSet) -> BoundReport:
     """Count of subgroup elements staying in the subgroup under every
-    translate by B*, by direct enumeration and by character expansion."""
+    translate by B*, two ways: by set algebra, N = #(G_d meet the
+    intersection of G_d + b over b in B*), and by character expansion."""
     import numpy as np
 
     sub = _validate_subgroup_args(p, d)
@@ -187,12 +187,7 @@ def n_count_report(p: int, d: int, b_star: FpSet) -> BoundReport:
         raise ValueError("B* must be nonempty")
     b_elems = b_star.elements()
     length = len(b_elems)
-    g_bits = sub.bits
-
-    n_direct = 0
-    for u in sub:
-        if all((g_bits >> ((u - b) % p)) & 1 for b in b_elems):
-            n_direct += 1
+    n_direct = (sub.bits & intersect_shifts(sub, b_elems).bits).bit_count()
 
     factors = np.ones(p - 1, dtype=complex)
     for inner in _character_expansions(p, d, b_elems):
@@ -314,6 +309,12 @@ def growth_exponent_report(p: int, d: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 # packing harness
 
+def _envelope_ratios(p: int, magnitude: float, a: FpSet, b: FpSet) -> dict:
+    """magnitude over the Karatsuba envelope of #A, #B for nu = 1, 2, 3;
+    A and B are nonempty, so each envelope is positive."""
+    return {f"nu{nu}": magnitude / karatsuba_envelope(p, len(a), len(b), nu) for nu in (1, 2, 3)}
+
+
 def packing_bound_harness(
     p: int,
     d: int,
@@ -336,16 +337,8 @@ def packing_bound_harness(
     witness_a, witness_b = result.witnesses[0]
     chi = Character(p, d, 1)
     tally = double_char_sum(chi, witness_a, witness_b)
-    char_sum_is_product = (
-        tally.zeros == 0
-        and tally.counts[0] == len(witness_a) * len(witness_b)
-        and sum(tally.counts) == tally.counts[0]
-    )
-    ratios = {}
-    lhs_mag = tally.magnitude()
-    for nu in (1, 2, 3):
-        env = karatsuba_envelope(p, len(witness_a), len(witness_b), nu)
-        ratios[f"nu{nu}"] = lhs_mag / env if env else 0.0
+    # double_char_sum checked that the counts and zeros total #A * #B
+    char_sum_is_product = tally.zeros == 0 and tally.counts[0] == len(witness_a) * len(witness_b)
     ok = (product <= p and char_sum_is_product) if complete else None
     return BoundReport(
         experiment="packing",
@@ -358,7 +351,7 @@ def packing_bound_harness(
             "A": witness_a,
             "B": witness_b,
             "char_sum_equals_product": char_sum_is_product,
-            "karatsuba_ratios": ratios,
+            "karatsuba_ratios": _envelope_ratios(p, tally.magnitude(), witness_a, witness_b),
             "nodes": result.nodes_explored,
             "min_part_floor": gd_low_value(p, d),
         },
@@ -370,15 +363,11 @@ def subgroup_ratio_report(p: int, d: int) -> BoundReport:
     g = _validate_subgroup_args(p, d)
     chi = Character(p, d, 1)
     lhs = double_char_sum(chi, g, g).magnitude()
-    ratios = {}
-    for nu in (1, 2, 3):
-        env = karatsuba_envelope(p, len(g), len(g), nu)
-        ratios[f"nu{nu}"] = lhs / env if env else 0.0
     return BoundReport(
         experiment="karatsuba",
         instance={"p": p, "d": d, "A": "subgroup", "B": "subgroup"},
         lhs=lhs,
-        extras={"ratios": ratios, "subgroup_order": len(g)},
+        extras={"ratios": _envelope_ratios(p, lhs, g, g), "subgroup_order": len(g)},
     )
 
 
@@ -393,8 +382,10 @@ def interval_set(p: int, m: int, n: int) -> FpSet:
 
 
 def interval_mult_report(p: int, m: int, n: int, a: FpSet, b: FpSet) -> BoundReport:
-    """Solution count of u = a*b with u in the interval, two ways, plus the
-    constant-free main-term error inequality."""
+    """Solution count J of u = a*b with u in the interval, two ways, plus
+    the constant-free main-term error inequality.  J is summed exactly from
+    the integer pair counts per product; the Fourier route expands the same
+    counts over all p additive characters in floating point."""
     import numpy as np
 
     fpcore.check_modulus(p)
@@ -408,10 +399,11 @@ def interval_mult_report(p: int, m: int, n: int, a: FpSet, b: FpSet) -> BoundRep
     elems_a = np.array(a.elements(), dtype=np.int64)
     elems_b = np.array(b.elements(), dtype=np.int64)
     prods = np.mod(np.outer(elems_a, elems_b), p).ravel()
-    pair_counts = np.bincount(prods, minlength=p).astype(np.float64)
+    pair_counts = np.bincount(prods, minlength=p)
+    in_interval = interval.elements()
+    j_direct = int(pair_counts[in_interval].sum())
     ind_interval = np.zeros(p, dtype=np.float64)
-    ind_interval[interval.elements()] = 1.0
-    j_direct = int(round(float(pair_counts @ ind_interval)))
+    ind_interval[in_interval] = 1.0
 
     # complete expansion over all p frequencies (lambda and lambda - p agree):
     # np.fft.fft(v)[lam] is the sum of v[x] * e(-lam * x / p)

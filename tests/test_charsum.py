@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import exact_int, indicator_identity_holds, primes_between, refused
+from ffdecomp import charsum
 from ffdecomp.charsum import (
     Character,
     RootOfUnityTally,
@@ -119,6 +120,14 @@ def test_tally_value_and_exact_int():
     v = RootOfUnityTally(6)
     v.counts[0] += 4
     assert exact_int(v) == 4
+    # a tally of zeros alone is the complex 0j for every d, as it is for d = 2
+    for d in (1, 2, 3, 6):
+        zero = RootOfUnityTally(d)
+        zero.zeros += 1
+        assert zero.value() == 0 and type(zero.value()) is complex, d
+    w = RootOfUnityTally(1)
+    w.counts[0] += 5
+    assert w.value() == 5 and type(w.value()) is complex
 
 
 def test_indicator_identity_small_fields():
@@ -216,6 +225,14 @@ def test_double_char_sum_examples_and_oracle():
         double_char_sum(leg, a, FpSet.from_elements(11, [3]))
 
 
+def test_double_char_sum_refuses_a_tally_that_is_not_every_pair(monkeypatch):
+    a = FpSet.from_elements(7, [1, 2])
+    # the pair-count product sees one pair (0, 0) in place of the four of A x A
+    monkeypatch.setattr(charsum, "_slots", lambda s: 1)
+    with refused(AssertionError, "tally total 1 is not #A * #B = 4"):
+        double_char_sum(legendre7(), a, a)
+
+
 def pair_loop_tally(chi, a, b):
     """(counts, zeros) of chi(x + y) over A x B, one pair at a time, with
     logs taken from the powers of the field's generator."""
@@ -281,6 +298,10 @@ def test_karatsuba_examples_and_envelope_domination():
     assert rep.ok is None
     with refused(BadIndex, "envelope comparison needs a non-principal character"):
         karatsuba_ratio(Character(7, 2, 0), a, b, 1)
+    # an empty A or B has a zero envelope, so no ratio: refused as vinogradov refuses it
+    for x, y in ((FpSet(7, 0), b), (a, FpSet(7, 0))):
+        with refused(ValueError, "A and B must be nonempty"):
+            karatsuba_ratio(leg, x, y, 1)
     # with nu = 1 the envelope dominates the constant-free double-sum bound
     rng = random.Random(3)
     for _ in range(100):

@@ -735,8 +735,8 @@ def test_numpy_is_imported_only_where_it_computes(tmp_path):
     importing it loads none of numpy, the process pool, dataclasses,
     inspect, fractions, decimal and csv; the searches, packing, shkvyu,
     vinogradov and growth load none of them either; CSV output loads only
-    csv; the three float-vector reports import numpy, wsum alone fractions
-    too, and they keep their recorded bytes."""
+    csv; the three float-vector reports import numpy alone, and they keep
+    their recorded bytes."""
     def sweep(name):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps({"experiment": name, **SWEEP_CONFIGS[name]}))
@@ -763,12 +763,11 @@ def test_numpy_is_imported_only_where_it_computes(tmp_path):
         assert cached[name][:2] == [EXIT_OK, []], name
     assert cached["csv"][:2] == [EXIT_OK, ["csv"]]
     # loaded() is cumulative, so csv stays from the command before; numpy
-    # itself may load inspect, and fractions loads decimal
+    # itself may load inspect
     for name in ("nsum", "interval", "wsum"):
         code, modules, digest = cached[name]
         assert [code, digest] == [EXIT_OK, SWEEP_DIGESTS[name][0]], name
-        want = ["numpy", "fractions", "decimal", "csv"] if name == "wsum" else ["numpy", "csv"]
-        assert [m for m in modules if m != "inspect"] == want, name
+        assert [m for m in modules if m != "inspect"] == ["numpy", "csv"], name
     assert cached["shkvyu"][2] == SWEEP_DIGESTS["shkvyu"][0]
     # a cold build and a load from the cache give the same records
     assert [warm[name][2] for name, _ in commands] == [cached[name][2] for name, _ in commands]
@@ -863,6 +862,8 @@ def test_usage_and_config_errors_create_no_out_file(tmp_path, capsys):
         "bad": {"experiment": "vinogradov", "p_range": [8, 9]},
         "list": [{"experiment": "vinogradov", "p_range": [5, 7]}],
         "unknown": {"experiment": "nope", "p_range": [5, 7]},
+        # no p - 1 in [4, 12] has the divisor 7
+        "empty_grid": {"experiment": "search", "set": "subgroup", "p_range": [5, 13], "d_filter": 7},
     }
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
@@ -876,6 +877,7 @@ def test_usage_and_config_errors_create_no_out_file(tmp_path, capsys):
          f"cannot read config {nope}: [Errno 2] No such file or directory: '{nope}'"),
         (["sweep", "--config", str(tmp_path / "list.json")], "config must be a JSON object"),
         (["sweep", "--config", str(tmp_path / "unknown.json")], "unknown sweep experiment 'nope'"),
+        (["sweep", "--config", str(tmp_path / "empty_grid.json")], "sweep expanded to an empty grid"),
         (["search", "--set", "qr", "--prime", "6"], "p = 6 is not prime"),
         (["shkvyu", "--prime", "61", "--d", "15", "--m", "3", "--shifts", "1,2"],
          "--m 3 disagrees with 2 shifts"),
@@ -905,7 +907,14 @@ def test_usage_and_config_errors_create_no_out_file(tmp_path, capsys):
         (interval + ["qr", "--set", "7:{1}", "--set", "7:{2}"],
          "first --set must be an interval:m,n family"),
         (interval + ["interval:0", "--set", "7:{1}", "--set", "7:{2}"],
-         "interval family is interval:m,n"),
+         "bad set 'interval:0': expected interval:m,n"),
+        (interval + ["interval:a,2", "--set", "7:{1}", "--set", "7:{2}"],
+         "bad set 'interval:a,2': expected interval:m,n"),
+        (["search", "--set", "subgroup:x", "--prime", "13"], "bad set 'subgroup:x': expected subgroup:d"),
+        (["search", "--set", "subgroup:", "--prime", "13"], "bad set 'subgroup:': expected subgroup:d"),
+        (["search", "--set", "subgroup:3,4", "--prime", "13"], "bad set 'subgroup:3,4': expected subgroup:d"),
+        (["karatsuba", "--prime", "13", "--d", "3", "--set", "13:{}", "--set", "13:{1}"],
+         "A and B must be nonempty"),
     ]
     for i, (argv, message) in enumerate(cases):
         out = tmp_path / f"out{i}.jsonl"

@@ -15,6 +15,7 @@ from conftest import (
     primes_between,
     reference_dfs,
     reference_self_search,
+    refused,
 )
 from ffdecomp import decomp, fpcore
 from ffdecomp.decomp import (
@@ -275,6 +276,8 @@ def test_query_validation():
     # NaN fails no `<= 0` test, and as a deadline it never fires
     with pytest.raises(ValueError, match="^budgets must be positive$"):
         DecompQuery(S=s, mode="decomposition", time_budget=float("nan"))
+    with refused(ValueError, "max_witnesses must be >= 1"):
+        DecompQuery(S=s, mode="decomposition", max_witnesses=0)
     with pytest.raises(ValueError):
         run_query(DecompQuery(S=FpSet(7, 0), mode="decomposition"))
     with pytest.raises(ValueError):
@@ -283,6 +286,19 @@ def test_query_validation():
         find_additive_decompositions(DecompQuery(S=s, mode="packing"))
     with pytest.raises(ValueError):
         max_packing(DecompQuery(S=s, mode="decomposition"))
+
+
+@pytest.mark.parametrize("mode, target, message", [
+    ("decomposition", (1, 2, 4, 5), "sumset does not equal the target"),  # {1, 4} + {0, 1}
+    ("self_decomposition", (2, 3, 4), "sumset does not equal the target"),  # {1, 2} + {1, 2}
+    ("packing", (1, 2, 4, 5), "sumset leaves the target"),
+])
+def test_a_corrupted_witness_is_refused(mode, target, message, monkeypatch):
+    # every witness is re-checked with the schoolbook sumset before it is
+    # accepted; here that sumset is all of F_7, which no witness matches
+    monkeypatch.setattr(decomp, "_naive_sum_bits", lambda a, b, p: (1 << p) - 1)
+    with refused(AssertionError, f"corrupted witness: {message}"):
+        run_query(DecompQuery(S=fpset(7, *target), mode=mode))
 
 
 def test_worker_partitioning_is_deterministic():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_affine, naive_productset, naive_sumset, nonzero_set
+from conftest import naive_affine, naive_productset, naive_sumset, nonzero_set, refused
+from ffdecomp import setalg
 from ffdecomp.errors import DuplicateShift, MixedModulus
 from ffdecomp.fpcore import primes_up_to
 from ffdecomp.setalg import (
@@ -107,6 +108,14 @@ def test_growth_product_conjugation_identity_explicit():
         conjugated = affine(productset(scaled, affine(scaled, 1, 1)), b * b % p, 0)
         assert direct == conjugated
         assert growth_product(a, b) == direct
+
+
+def test_growth_product_refuses_a_broken_conjugation(monkeypatch):
+    # the conjugated route scales through affine; an empty result there
+    # must be caught, not returned
+    monkeypatch.setattr(setalg, "affine", lambda s, lam, mu: FpSet(s.p, 0))
+    with refused(AssertionError, "conjugation identity violated at p=7, b=3"):
+        growth_product(fpset(7, 1, 2), 3)
 
 
 def test_mixed_modulus_rejected():
